@@ -45,7 +45,6 @@ from .expansion import (
     LTerms,
     MetricBlock,
     RiskExpansion,
-    build_risk_expansion,
     eta_pattern,
     evaluate_risk,
     geometric_invariants,
@@ -78,7 +77,6 @@ __all__ = [
     "StandardizedMatrix",
     "binomial_risk",
     "build_eta_table",
-    "build_risk_expansion",
     "coin_equivalent",
     "custom_error",
     "divergence",

@@ -19,12 +19,6 @@ Exactly one moment source may be given: --xpreset, --homogeneous,
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("MLERISK_THREADS"):  # single supported env knob: BLAS threads
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["MLERISK_THREADS"])
-
 import argparse
 import json
 import sys

@@ -67,7 +67,6 @@ class ErrorModel:
     log_deriv3: Callable
     param: object = None
     label: str = ""
-    whole_real_line: bool = True
     logpdf: Callable = None  # optional; falls back to log(pdf)
 
     def log_pdf(self, y):

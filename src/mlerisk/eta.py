@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from ._quadrature import integrate_real_line
-from .error_models import ErrorModel, ModelKind, normal_error
+from .error_models import ErrorModel, ModelKind
 
 __all__ = [
     "GRID",
@@ -66,7 +66,6 @@ class EtaTableError(RuntimeError):
 class EtaMethod(enum.Enum):
     CLOSED_FORM = "closed_form"
     QUADRATURE = "quadrature"
-    MONTE_CARLO = "monte_carlo"
 
 
 @dataclass(frozen=True)
@@ -361,7 +360,3 @@ def build_eta_table(model: ErrorModel, tol: float = 1e-10) -> EtaTable:
     table = EtaTable(model_label=model.label or model.kind.value, entries=entries, exact=exact)
     table.check_invariants(slack=10 * tol if not exact else 0.0)
     return table
-
-
-def normal_eta_table() -> EtaTable:
-    return build_eta_table(normal_error())

@@ -16,8 +16,9 @@ exact rational coefficients.  The sums over the special index pair
 pipeline; where that pipeline and its accompanying derivation disagree, the
 pipeline wins, because the published coefficient tables are its output.  Its
 use of the regressor count p (rather than the full parameter count p+2)
-inside two of the inner products is likewise kept; the alternative reading is
-reported alongside as a diagnostic.
+inside two of the inner products is likewise kept.  Reading p+2 there instead
+cancels in qa and qb and lowers qc by exactly 1, so that reading is reported
+as the constant shift ``q_full_param_count = [qa, qb, qc - 1]``.
 
 Everything here is pure and immutable; expansions can be evaluated
 concurrently over parameter sweeps.
@@ -25,6 +26,7 @@ concurrently over parameter sweeps.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +44,6 @@ __all__ = [
     "l_terms",
     "geometric_invariants",
     "risk_expansion",
-    "build_risk_expansion",
     "evaluate_risk",
 ]
 
@@ -69,11 +70,7 @@ class MetricBlock:
     tgss: object
 
     def tg(self, a: int, b: int):
-        if a == 0 and b == 0:
-            return self.tg00
-        if a == 1 and b == 1:
-            return self.tgss
-        return self.tg0s
+        return (self.tg00, self.tg0s, self.tgss)[a + b]
 
 
 def metric_block(table: EtaTable) -> MetricBlock:
@@ -266,29 +263,13 @@ def eta_pattern(table: EtaTable, pattern: str):
     second/third derivative factor.  Patterns that coincide under the listed
     symmetries (order within a group, group order) give identical values.
     """
-    groups: list[str] = []
-    i = 0
     s = pattern.replace(" ", "")
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            close = s.find(")", i)
-            if close < 0:
-                raise ValueError(f"unbalanced parenthesis in pattern {pattern!r}")
-            groups.append(s[i + 1 : close])
-            i = close + 1
-        elif ch in "BS":
-            groups.append(ch)
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in pattern {pattern!r}")
-    if any(set(g) - {"B", "S"} for g in groups):
-        raise ValueError(f"pattern slots must be B or S: {pattern!r}")
-    ns = [g.count("S") for g in groups]
+    if not re.fullmatch(r"(\([BS]+\)|[BS])+", s):
+        raise ValueError(f"pattern {pattern!r} is not a sequence of B/S slots and (...) groups")
+    found = re.findall(r"\([BS]+\)|[BS]", s)
+    groups = sorted((g.strip("()") for g in found), key=len, reverse=True)
     sizes = [len(g) for g in groups]
-    order = sorted(range(len(groups)), key=lambda idx: -sizes[idx])
-    sizes = [sizes[idx] for idx in order]
-    ns = [ns[idx] for idx in order]
+    ns = [g.count("S") for g in groups]
     if sizes == [2, 1]:
         return _pair_single(table, ns[0], ns[1])
     if sizes == [1, 1, 1]:
@@ -325,139 +306,86 @@ class LTerms:
 
 
 def l_terms(table: EtaTable, moments) -> LTerms:
-    """All eleven metric-contracted L sums for the given moment summary."""
+    """All eleven metric-contracted L sums for the given moment summary.
+
+    The inverse metric is block diagonal: ``w = 1/eta0020`` on each slope
+    index and ``tg`` on the special pair {intercept, sigma}.  Every sum is one
+    of four contraction templates, named by the index layout of its defining
+    sum (metric pairs ij, kl, su); a template's kernel maps the sigma flags of
+    its slots (0 = beta type, 1 = sigma) to an eta combinator value.
+    """
     agg = to_aggregated(moments)
     g = metric_block(table)
     p = agg.p
     M2a, M2b, M1 = agg.M2a, agg.M2b, agg.M1
     w = 1 / g.eta0020
-    tg = g.tg
+    P = [(a, b, g.tg(a, b)) for a in _S for b in _S]  # (a, b, g^ab), special pair
 
-    e3p = lambda a, b: _pair_single(table, a, b)
-    e3 = lambda a: _triple(table, a)
-    e22 = lambda a, b: _pair_pair(table, a, b)
-    e211 = lambda a, b: _pair_two(table, a, b)
-    e4 = lambda a: _four(table, a)
+    # each combinator once, keyed by the sigma counts of its groups
+    e3p = {(a, s): _pair_single(table, a, s) for a in range(3) for s in _S}
+    e3 = [_triple(table, n) for n in range(4)]
+    e22 = {(a, b): _pair_pair(table, a, b) for a in range(3) for b in range(3)}
+    e211 = {(a, b): _pair_two(table, a, b) for a in range(3) for b in range(3)}
+    e4 = [_four(table, n) for n in range(5)]
 
-    ll21 = w**3 * M2a * e3p(0, 0) * e3(0)
-    ll21 += w**2 * p * sum(tg(s, u) * e3p(0, s) * e3(u) for s in _S for u in _S)
-    ll21 += w**2 * p * sum(tg(k, l) * e3p(k, 0) * e3(l) for k in _S for l in _S)
-    ll21 += w**2 * p * sum(tg(i, j) * e3p(i, 0) * e3(j) for i in _S for j in _S)
-    ll21 += sum(
-        tg(i, j) * tg(k, l) * tg(s, u) * e3p(i + k, s) * e3(j + l + u)
-        for i in _S for j in _S for k in _S for l in _S for s in _S for u in _S
-    )
+    pair1 = lambda a, b, c: e3p[a + b, c]  # L_(ab)c
+    triple = lambda a, b, c: e3[a + b + c]  # L_abc
 
-    ll22 = w**3 * M2b * e3p(0, 0) * e3(0)
-    ll22 += w**2 * p**2 * sum(tg(k, l) * e3p(0, k) * e3(l) for k in _S for l in _S)
-    ll22 += w * p * sum(
-        tg(k, l) * tg(s, u) * e3p(0, k) * e3(l + s + u)
-        for k in _S for l in _S for s in _S for u in _S
-    )
-    ll22 += w * p * sum(
-        tg(i, j) * tg(k, l) * e3p(i + j, k) * e3(l)
-        for i in _S for j in _S for k in _S for l in _S
-    )
-    ll22 += sum(
-        tg(i, j) * tg(k, l) * tg(s, u) * e3p(i + j, k) * e3(l + s + u)
-        for i in _S for j in _S for k in _S for l in _S for s in _S for u in _S
-    )
+    def iks_jlu(A, B):
+        out = w**3 * M2a * A(0, 0, 0) * B(0, 0, 0)
+        out += w**2 * p * sum(gsu * A(0, 0, s) * B(0, 0, u) for s, u, gsu in P)
+        out += w**2 * p * sum(gkl * A(0, k, 0) * B(0, l, 0) for k, l, gkl in P)
+        out += w**2 * p * sum(gij * A(i, 0, 0) * B(j, 0, 0) for i, j, gij in P)
+        return out + sum(
+            gij * gkl * gsu * A(i, k, s) * B(j, l, u)
+            for i, j, gij in P for k, l, gkl in P for s, u, gsu in P
+        )
 
-    ll23 = w**3 * M2a * e3(0) * e3(0)
-    ll23 += w**2 * p * sum(tg(s, u) * e3(s) * e3(u) for s in _S for u in _S)
-    ll23 += w**2 * p * sum(tg(k, l) * e3(k) * e3(l) for k in _S for l in _S)
-    ll23 += w**2 * p * sum(tg(i, j) * e3(i) * e3(j) for i in _S for j in _S)
-    ll23 += sum(
-        tg(i, j) * tg(k, l) * tg(s, u) * e3(i + k + s) * e3(j + l + u)
-        for i in _S for j in _S for k in _S for l in _S for s in _S for u in _S
-    )
+    def ijk_lsu(A, B):
+        out = w**3 * M2b * A(0, 0, 0) * B(0, 0, 0)
+        out += w**2 * p**2 * sum(gkl * A(0, 0, k) * B(l, 0, 0) for k, l, gkl in P)
+        out += w * p * sum(
+            gkl * gsu * A(0, 0, k) * B(l, s, u) for k, l, gkl in P for s, u, gsu in P
+        )
+        out += w * p * sum(
+            gij * gkl * A(i, j, k) * B(l, 0, 0) for i, j, gij in P for k, l, gkl in P
+        )
+        return out + sum(
+            gij * gkl * gsu * A(i, j, k) * B(l, s, u)
+            for i, j, gij in P for k, l, gkl in P for s, u, gsu in P
+        )
 
-    ll24 = w**3 * M2b * e3(0) * e3(0)
-    ll24 += w**2 * p**2 * sum(tg(k, l) * e3(k) * e3(l) for k in _S for l in _S)
-    ll24 += w * p * sum(
-        tg(k, l) * tg(s, u) * e3(k) * e3(l + s + u)
-        for k in _S for l in _S for s in _S for u in _S
-    )
-    ll24 += w * p * sum(
-        tg(i, j) * tg(k, l) * e3(i + j + k) * e3(l)
-        for i in _S for j in _S for k in _S for l in _S
-    )
-    ll24 += sum(
-        tg(i, j) * tg(k, l) * tg(s, u) * e3(i + j + k) * e3(l + s + u)
-        for i in _S for j in _S for k in _S for l in _S for s in _S for u in _S
-    )
+    def ijkl(head, F):
+        out = w**2 * M1 * head
+        out += w * p * sum(gkl * F(0, 0, k, l) for k, l, gkl in P)
+        out += w * p * sum(gij * F(i, j, 0, 0) for i, j, gij in P)
+        return out + sum(gij * gkl * F(i, j, k, l) for i, j, gij in P for k, l, gkl in P)
 
-    ll25 = w**3 * M2a * e3p(0, 0) * e3p(0, 0)
-    ll25 += w**2 * p * sum(tg(s, u) * e3p(0, s) * e3p(0, u) for s in _S for u in _S)
-    ll25 += w**2 * p * sum(tg(k, l) * e3p(k, 0) * e3p(l, 0) for k in _S for l in _S)
-    ll25 += w**2 * p * sum(tg(i, j) * e3p(i, 0) * e3p(j, 0) for i in _S for j in _S)
-    ll25 += sum(
-        tg(i, j) * tg(k, l) * tg(s, u) * e3p(i + k, s) * e3p(j + l, u)
-        for i in _S for j in _S for k in _S for l in _S for s in _S for u in _S
-    )
+    def ikjl(head, F):
+        return ijkl(head, lambda i, j, k, l: F(i, k, j, l))
 
-    ll26 = w**3 * M2b * e3p(0, 0) * e3p(0, 0)
-    ll26 += w**2 * p**2 * sum(tg(k, l) * e3p(0, k) * e3p(0, l) for k in _S for l in _S)
-    ll26 += w * p * sum(
-        tg(k, l) * tg(s, u) * e3p(0, k) * e3p(s + u, l)
-        for k in _S for l in _S for s in _S for u in _S
-    )
-    ll26 += w * p * sum(
-        tg(i, j) * tg(k, l) * e3p(i + j, k) * e3p(0, l)
-        for i in _S for j in _S for k in _S for l in _S
-    )
-    ll26 += sum(
-        tg(i, j) * tg(k, l) * tg(s, u) * e3p(i + j, k) * e3p(s + u, l)
-        for i in _S for j in _S for k in _S for l in _S for s in _S for u in _S
-    )
-
-    ll11 = w**2 * M1 * e211(0, 0)
-    ll11 += w * p * sum(tg(k, l) * e211(l, k) for k in _S for l in _S)
-    ll11 += w * p * sum(tg(i, j) * e211(i, j) for i in _S for j in _S)
-    ll11 += sum(
-        tg(i, j) * tg(k, l) * e211(i + l, j + k)
-        for i in _S for j in _S for k in _S for l in _S
-    )
-
-    # The M1 weight below follows the published program listing, which pairs
-    # M1 with the (ab)(cd) combinator here; its derivation text writes the
-    # (ab)cd one instead.  Every published coefficient table requires the
-    # listing's variant.
-    ll12 = w**2 * M1 * e22(0, 0)
-    ll12 += w * p * sum(tg(k, l) * e211(0, k + l) for k in _S for l in _S)
-    ll12 += w * p * sum(tg(i, j) * e211(i + j, 0) for i in _S for j in _S)
-    ll12 += sum(
-        tg(i, j) * tg(k, l) * e211(i + j, k + l)
-        for i in _S for j in _S for k in _S for l in _S
-    )
-
-    ll13 = w**2 * M1 * e4(0)
-    ll13 += w * p * sum(tg(k, l) * e4(k + l) for k in _S for l in _S)
-    ll13 += w * p * sum(tg(i, j) * e4(i + j) for i in _S for j in _S)
-    ll13 += sum(
-        tg(i, j) * tg(k, l) * e4(i + j + k + l)
-        for i in _S for j in _S for k in _S for l in _S
-    )
-
-    ll14 = w**2 * M1 * e22(0, 0)
-    ll14 += w * p * sum(tg(k, l) * e22(l, k) for k in _S for l in _S)
-    ll14 += w * p * sum(tg(i, j) * e22(i, j) for i in _S for j in _S)
-    ll14 += sum(
-        tg(i, j) * tg(k, l) * e22(i + k, j + l)
-        for i in _S for j in _S for k in _S for l in _S
-    )
-
-    ll15 = w**2 * M1 * e22(0, 0)
-    ll15 += w * p * sum(tg(k, l) * e22(0, k + l) for k in _S for l in _S)
-    ll15 += w * p * sum(tg(i, j) * e22(i + j, 0) for i in _S for j in _S)
-    ll15 += sum(
-        tg(i, j) * tg(k, l) * e22(i + j, k + l)
-        for i in _S for j in _S for k in _S for l in _S
-    )
+    pair_two = lambda a, b, c, d: e211[a + b, c + d]  # L_(ab)cd
+    pair_pair = lambda a, b, c, d: e22[a + b, c + d]  # L_(ab)(cd)
+    four = lambda a, b, c, d: e4[a + b + c + d]  # L_abcd
 
     return LTerms(
-        l11=ll11, l12=ll12, l13=ll13, l14=ll14, l15=ll15,
-        l21=ll21, l22=ll22, l23=ll23, l24=ll24, l25=ll25, l26=ll26,
+        # the defining sum of l11 reads iljk, the same sum as ikjl
+        l11=ikjl(e211[0, 0], pair_two),
+        # The M1 head of l12 follows the published program listing, which
+        # pairs M1 with the (ab)(cd) combinator here; its derivation text
+        # writes the (ab)cd one instead.  Every published coefficient table
+        # requires the listing's variant.
+        l12=ijkl(e22[0, 0], pair_two),
+        l13=ijkl(e4[0], four),
+        l14=ikjl(e22[0, 0], pair_pair),
+        l15=ijkl(e22[0, 0], pair_pair),
+        l21=iks_jlu(pair1, triple),
+        l22=ijk_lsu(pair1, triple),
+        l23=iks_jlu(triple, triple),
+        l24=ijk_lsu(triple, triple),
+        l25=iks_jlu(pair1, pair1),
+        # the second factor of l26 is read in the defining sum's sul order
+        l26=ijk_lsu(pair1, lambda l, s, u: pair1(s, u, l)),
     )
 
 
@@ -473,21 +401,19 @@ class GeometricInvariants:
     aaem2: object
 
 
-def geometric_invariants(lt: LTerms, p: int, dim=None) -> GeometricInvariants:
+def geometric_invariants(lt: LTerms, p: int) -> GeometricInvariants:
     """Contract the L terms into the invariants entering the expansion.
 
-    ``dim`` is the parameter-count symbol subtracted inside the two
-    self-inner-products; the reference pipeline substitutes the regressor
-    count p there (the default), the alternative reading uses p + 2.
+    The reference pipeline subtracts the regressor count p inside the two
+    self-inner-products, where the derivation has the parameter count p + 2.
     """
-    d = p if dim is None else dim
     return GeometricInvariants(
         ffe=2 * lt.l11 + lt.l12 + lt.l13 - 2 * lt.l21 - lt.l23 - lt.l22,
         tt1=lt.l23,
         tt2=lt.l24,
         rre=lt.l14 - lt.l15 + lt.l11 - lt.l12 - lt.l25 + lt.l26 + lt.l22 - lt.l21,
-        aaee1=lt.l14 - lt.l25 - d,
-        aaee2=lt.l15 - lt.l26 - d * d,
+        aaee1=lt.l14 - lt.l25 - p,
+        aaee2=lt.l15 - lt.l26 - p * p,
         aaem1=lt.l11 + lt.l14 - lt.l25 - lt.l21,
         aaem2=lt.l12 + lt.l15 - lt.l26 - lt.l22,
     )
@@ -504,8 +430,12 @@ class RiskExpansion:
     qc: object
     validity_n_min: int
     coeff_error: float = 0.0
-    q_alt: tuple = None  # (qa, qb, qc) under the p+2 dimension reading
     model_label: str = ""
+
+    @property
+    def q_alt(self) -> tuple:
+        """(qa, qb, qc) under the p+2 dimension reading: only qc moves, by -1."""
+        return (self.qa, self.qb, self.qc - 1)
 
     def q(self, alpha):
         return self.qa * alpha * alpha + self.qb * alpha + self.qc
@@ -529,8 +459,7 @@ class RiskExpansion:
         }
         if self.is_exact():
             out["q_exact"] = [str(self.qa), str(self.qb), str(self.qc)]
-        if self.q_alt is not None:
-            out["q_full_param_count"] = [float(c) for c in self.q_alt]
+        out["q_full_param_count"] = [float(c) for c in self.q_alt]
         return out
 
 
@@ -540,9 +469,8 @@ def evaluate_risk(expansion: RiskExpansion, alpha, n: int):
     return value, n < expansion.validity_n_min
 
 
-def _q_from_invariants(gi: GeometricInvariants, p: int, dim=None):
+def _q_from_invariants(gi: GeometricInvariants, p: int):
     """(qa, qb, qc) from the bracket written in alpha' = (1 - alpha)/2."""
-    d = p if dim is None else dim
     A = (
         3 * gi.ffe
         + 3 * gi.tt1
@@ -550,8 +478,8 @@ def _q_from_invariants(gi: GeometricInvariants, p: int, dim=None):
         + 6 * gi.aaee1
         - 3 * gi.aaem2
         + 3 * gi.aaee2
-        + 3 * d * d
-        + 6 * d
+        + 3 * p * p
+        + 6 * p
     )
     B = (
         3 * gi.ffe
@@ -561,8 +489,8 @@ def _q_from_invariants(gi: GeometricInvariants, p: int, dim=None):
         - 6 * gi.aaee1
         + 3 * gi.aaem2
         - 3 * gi.aaee2
-        - 3 * d * d
-        - 6 * d
+        - 3 * p * p
+        - 6 * p
     )
     C = (
         12 * gi.aaee1
@@ -573,15 +501,7 @@ def _q_from_invariants(gi: GeometricInvariants, p: int, dim=None):
         + 8 * gi.rre
         - 9 * gi.ffe
     )
-    if isinstance(A, Fraction) or isinstance(B, Fraction) or isinstance(C, Fraction):
-        qa = Fraction(A, 96)
-        qb = -Fraction(A + B, 48)
-        qc = Fraction(A + 2 * B + 4 * C, 96)
-    else:
-        qa = A / 96
-        qb = -(A + B) / 48
-        qc = (A + 2 * B + 4 * C) / 96
-    return qa, qb, qc
+    return A / 96, -(A + B) / 48, (A + 2 * B + 4 * C) / 96
 
 
 def _validity_n_min(p: int, main, q_ref) -> int:
@@ -609,10 +529,7 @@ def risk_expansion(table: EtaTable, moments, with_error: bool = True) -> RiskExp
     agg = to_aggregated(moments)
     p = agg.p
     lt = l_terms(table, agg)
-    gi = geometric_invariants(lt, p)
-    qa, qb, qc = _q_from_invariants(gi, p)
-    gi_alt = geometric_invariants(lt, p, dim=p + 2)
-    q_alt = _q_from_invariants(gi_alt, p, dim=p + 2)
+    qa, qb, qc = _q_from_invariants(geometric_invariants(lt, p), p)
     main = Fraction(p + 2, 2) if isinstance(qa, Fraction) else (p + 2) / 2
     q_ref = qa - qb + qc  # alpha = -1, the reference divergence
     coeff_error = 0.0
@@ -626,7 +543,6 @@ def risk_expansion(table: EtaTable, moments, with_error: bool = True) -> RiskExp
         qc=qc,
         validity_n_min=_validity_n_min(p, main, q_ref),
         coeff_error=coeff_error,
-        q_alt=q_alt,
         model_label=table.model_label,
     )
 
@@ -655,12 +571,3 @@ def _propagate_coefficient_error(table: EtaTable, agg, q0) -> float:
             total[c] += abs(float(q1[c]) - float(q0[c])) / h * bound
     return max(total)
 
-
-def build_risk_expansion(model_or_table, moments, tol: float = 1e-10) -> RiskExpansion:
-    """Convenience wrapper accepting either an ErrorModel or a ready table."""
-    from .eta import build_eta_table  # local import to avoid a cycle at import time
-
-    table = model_or_table
-    if not isinstance(model_or_table, EtaTable):
-        table = build_eta_table(model_or_table, tol=tol)
-    return risk_expansion(table, moments)

@@ -208,7 +208,7 @@ MODELS = {
 
 
 @pytest.mark.parametrize("model_name", list(MODELS))
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
 def test_l_terms_match_full_contraction(model_name, p):
     model = MODELS[model_name]()
     m4, m22, m3, m21, m111 = 4.0, 1.3, 0.6, -0.25, 0.15

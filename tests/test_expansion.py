@@ -321,6 +321,12 @@ def test_dimension_variant_diagnostic(normal_table):
     exp = risk_expansion(normal_table, x_preset("normal", 10))
     assert exp.q_alt is not None
     assert (exp.qa, exp.qb, exp.qc) != tuple(exp.q_alt)
+    # d cancels in qa and qb and enters qc as -d/2: p -> p+2 lowers qc by 1
+    assert exp.q_alt == (exp.qa, exp.qb, exp.qc - 1)
+    assert all(isinstance(c, F) for c in exp.q_alt)
+    assert exp.to_jsonable()["q_full_param_count"] == [
+        float(exp.qa), float(exp.qb), float(exp.qc - 1)
+    ]
 
 
 def test_exact_tables_give_exact_coeffs_and_quadrature_gives_floats(normal_table, sn3_table):
