@@ -9,15 +9,25 @@ moment tensors:
     M2b = sum_k ( sum_i m[i,i,k] )^2
     M1  = sum_{i,k} m[i,i,k,k]
 
-All three collapse to O(n p^2 + n^2 p) work without forming the p^3/p^4
-tensors:  M2a = (1/n^2) sum_{t,s} (x_t . x_s)^3 via the Gram matrix (chunked),
-M2b = ||X' r / n||^2 and M1 = mean(r^2) with r_t = ||x_t||^2.
+M2b = ||X' r / n||^2 and M1 = mean(r^2) with r_t = ||x_t||^2 cost O(n p).
+M2a takes whichever of two routes is cheaper for the shape of X:
+
+* p^2 < n: the third-moment tensor itself, as the (n x p(p+1)/2)' (n x p)
+  product of the distinct column products x_ti x_tj (i <= j) with X,
+  accumulated over row chunks; O(n p^3).
+* otherwise: M2a = (1/n^2) sum_{t,s} (x_t . x_s)^3 over the Gram matrix,
+  one upper block row at a time, each off-diagonal block counted twice;
+  O(n^2 p).
+
+Either way the work is O(n p min(n, p^2)), and no temporary is larger than
+``chunk`` rows of the matrix being reduced.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
@@ -70,17 +80,22 @@ def _flag_correlations(rows: np.ndarray, names, threshold: float):
     sd = x.std(axis=0)
     sd[sd == 0] = np.nan
     c = (x.T @ x) / rows.shape[0] / np.outer(sd, sd)
-    flagged = []
-    p = rows.shape[1]
-    for i in range(p):
-        for j in range(i + 1, p):
-            if np.isfinite(c[i, j]) and abs(c[i, j]) > threshold:
-                flagged.append((names[i], names[j], float(c[i, j])))
-    return tuple(flagged)
+    i, j = np.triu_indices(rows.shape[1], k=1)
+    cij = c[i, j]
+    hit = np.isfinite(cij) & (np.abs(cij) > threshold)
+    return tuple(
+        (names[a], names[b], float(v)) for a, b, v in zip(i[hit], j[hit], cij[hit])
+    )
 
 
 def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
-    """Read a rectangular numeric table, handling missing values per options."""
+    """Read a rectangular numeric table, handling missing values per options.
+
+    ``csv.reader`` splits the fields; cleaning and conversion then run column
+    by column.  A token is missing iff its stripped text is one of
+    ``options.missing_tokens``; every other kept token becomes ``float`` of
+    its stripped text.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=options.delimiter)
         raw = [row for row in reader if row]
@@ -92,49 +107,57 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
     else:
         names = [f"x{i+1}" for i in range(len(raw[0]))]
         body = raw
+    first_line = 2 if options.header else 1
     width = len(names)
-    for lineno, row in enumerate(body, start=2 if options.header else 1):
+    for lineno, row in enumerate(body, start=first_line):
         if len(row) != width:
             raise DataError(
                 f"{path}: line {lineno}: expected {width} fields, found {len(row)}"
             )
 
+    if options.missing_strategy not in ("drop_rows", "drop_columns"):
+        raise DataError(f"unknown missing_strategy {options.missing_strategy!r}")
+
     keep = [i for i, name in enumerate(names) if name not in set(options.drop_columns)]
     dropped = [names[i] for i in range(width) if i not in keep]
     missing = set(options.missing_tokens)
+    # Stripped in file order, so the strings are visited where they lie in
+    # memory; column i is then the slice cells[i::width].
+    cells = list(map(str.strip, chain.from_iterable(body)))
+    bad_cols, bad_rows = [], set()
+    for i in keep:
+        tokens = cells[i::width]
+        if not missing.isdisjoint(tokens):
+            bad_cols.append(i)
+            bad_rows.update(compress(range(len(body)), map(missing.__contains__, tokens)))
 
-    def is_missing(tok: str) -> bool:
-        return tok.strip() in missing
-
+    good = None  # mask of the rows kept, None when all are
     if options.missing_strategy == "drop_columns":
-        bad_cols = {
-            i for row in body for i in keep if is_missing(row[i])
-        }
-        dropped += [names[i] for i in sorted(bad_cols)]
+        dropped += [names[i] for i in bad_cols]
         keep = [i for i in keep if i not in bad_cols]
-        kept_rows = body
         dropped_row_count = 0
-    elif options.missing_strategy == "drop_rows":
-        kept_rows = [row for row in body if not any(is_missing(row[i]) for i in keep)]
-        dropped_row_count = len(body) - len(kept_rows)
     else:
-        raise DataError(f"unknown missing_strategy {options.missing_strategy!r}")
+        if bad_rows:
+            good = np.ones(len(body), dtype=bool)
+            good[list(bad_rows)] = False
+        dropped_row_count = len(bad_rows)
+    rows = range(len(body)) if good is None else np.flatnonzero(good)
 
     if not keep:
         raise DataError(f"{path}: no columns left after cleaning")
-    if not kept_rows:
+    if not len(rows):
         raise DataError(f"{path}: no rows left after cleaning")
 
-    data = np.empty((len(kept_rows), len(keep)))
-    for r, row in enumerate(kept_rows):
-        for c, i in enumerate(keep):
-            tok = row[i].strip()
-            try:
-                data[r, c] = float(tok)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric value {tok!r} in column {names[i]!r}"
-                ) from None
+    data = np.empty((len(rows), len(keep)))
+    for c, i in enumerate(keep):
+        tokens = cells[i::width] if good is None else compress(cells[i::width], good)
+        try:
+            data[:, c] = np.fromiter(map(float, tokens), dtype=float, count=len(rows))
+        except ValueError:
+            r, i, tok = _first_bad_cell(cells, width, rows, keep)
+            raise DataError(
+                f"{path}: line {first_line + r}: non-numeric value {tok!r} in column {names[i]!r}"
+            ) from None
     if data.shape[0] <= data.shape[1]:
         raise DataError(
             f"{path}: need more rows than columns (n={data.shape[0]}, p={data.shape[1]})"
@@ -147,6 +170,17 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
         dropped_row_count=dropped_row_count,
         flagged_pairs=_flag_correlations(data, kept_names, options.correlation_threshold),
     )
+
+
+def _first_bad_cell(cells, width, rows, keep):
+    """(row, column, token) of the first non-numeric kept cell, row-major."""
+    for r in rows:
+        for i in keep:
+            tok = cells[r * width + i]
+            try:
+                float(tok)
+            except ValueError:
+                return r, i, tok
 
 
 @dataclass(frozen=True)
@@ -189,20 +223,43 @@ def standardize(dataset: Dataset) -> StandardizedMatrix:
 
 
 def sample_aggregates(std: StandardizedMatrix | np.ndarray, chunk: int = 1024) -> dict:
-    """M2a, M2b, M1 of the (whitened) score matrix, divisor-n moments."""
+    """M2a, M2b, M1 of the (whitened) score matrix, divisor-n moments.
+
+    ``chunk`` is the number of rows of X per block of the M2a reduction.
+    """
     x = std.scores if isinstance(std, StandardizedMatrix) else np.asarray(std, dtype=float)
-    n = x.shape[0]
+    n, p = x.shape
     r = np.einsum("ti,ti->t", x, x)
     m1 = float(r @ r) / n
     s = (x.T @ r) / n
     m2b = float(s @ s)
-    # M2a = (1/n^2) sum_{t,s} (x_t . x_s)^3, Gram matrix in row blocks
+    m2a = (_m2a_tensor if p * p < n else _m2a_gram)(x, chunk)
+    return {"M2a": m2a, "M2b": m2b, "M1": m1}
+
+
+def _m2a_tensor(x: np.ndarray, chunk: int) -> float:
+    """M2a = ||m||_F^2 with m[(i,j),k] = sum_t x_ti x_tj x_tk, i <= j, by GEMM."""
+    n, p = x.shape
+    i, j = np.triu_indices(p)
+    m = np.zeros((i.size, p))
+    for start in range(0, n, chunk):
+        xc = x[start : start + chunk]
+        m += (xc[:, i] * xc[:, j]).T @ xc
+    weight = np.where(i == j, 1.0, 2.0)  # (i,j) and (j,i) share a row of m
+    return float(weight @ np.einsum("ak,ak->a", m, m)) / (n * n)
+
+
+def _m2a_gram(x: np.ndarray, chunk: int) -> float:
+    """M2a = (1/n^2) sum_{t,s} (x_t . x_s)^3 over the upper Gram block rows."""
+    n = x.shape[0]
     acc = 0.0
     for start in range(0, n, chunk):
-        g = x[start : start + chunk] @ x.T
-        acc += float(np.einsum("ij,ij,ij->", g, g, g))
-    m2a = acc / (n * n)
-    return {"M2a": m2a, "M2b": m2b, "M1": m1}
+        stop = min(start + chunk, n)
+        g = x[start:stop] @ x[start:].T
+        diag, off = g[:, : stop - start], g[:, stop - start :]
+        acc += float(np.einsum("ij,ij,ij->", diag, diag, diag))
+        acc += 2 * float(np.einsum("ij,ij,ij->", off, off, off))
+    return acc / (n * n)
 
 
 def aggregates_brute_force(x: np.ndarray) -> dict:

@@ -221,6 +221,8 @@ def _validate_custom(model: ErrorModel) -> None:
         )
     try:
         total = integrate_real_line(model.pdf, tol=1e-10)
+    except RuntimeWarning:  # a numeric warning made an error stays a fault
+        raise
     except Exception as exc:
         raise ValueError(f"custom density is not integrable over the real line: {exc}") from exc
     if not total.converged or abs(total.value - 1.0) > 1e-8:
@@ -255,14 +257,29 @@ def _validate_custom(model: ErrorModel) -> None:
             )
 
 
+def _quiet(fn):
+    """``fn`` with numpy's overflow and divide-by-zero warnings off.
+
+    A declared log-density may reach -inf (log of an underflowed factor) or
+    exp to +inf far in a tail; the quadrature masks such values and
+    validation rejects a density whose mass they make infinite.
+    """
+
+    def evaluate(y):
+        with np.errstate(over="ignore", divide="ignore"):
+            return fn(y)
+
+    return evaluate
+
+
 def custom_error(text: str, label: str = "custom") -> ErrorModel:
     """Build a model from a density declaration (see :mod:`mlerisk.expr`)."""
     decls = parse_density_file(text)
     logf = decls["logf"]
     model = ErrorModel(
         kind=ModelKind.CUSTOM,
-        pdf=lambda y: np.exp(logf(np.asarray(y, dtype=float))),
-        logpdf=lambda y: logf(np.asarray(y, dtype=float)),
+        pdf=_quiet(lambda y: np.exp(logf(np.asarray(y, dtype=float)))),
+        logpdf=_quiet(lambda y: logf(np.asarray(y, dtype=float))),
         log_deriv1=lambda y: np.asarray(decls["d1"](np.asarray(y, dtype=float)), dtype=float),
         log_deriv2=lambda y: np.asarray(decls["d2"](np.asarray(y, dtype=float)), dtype=float),
         log_deriv3=lambda y: np.asarray(decls["d3"](np.asarray(y, dtype=float)), dtype=float),

@@ -351,7 +351,7 @@ def build_eta_table(model: ErrorModel, tol: float = 1e-10) -> EtaTable:
         for idx in GRID:
             try:
                 value, bound = eta_quadrature(model, *idx, tol=tol)
-            except EtaTableError:
+            except (EtaTableError, RuntimeWarning):
                 raise
             except Exception as exc:
                 raise EtaTableError(f"eta{list(idx)} for {model!r}: {exc}") from exc

@@ -140,3 +140,145 @@ def test_whitened_pipeline_end_to_end(tmp_path):
     slow = aggregates_brute_force(std.scores)
     for key in agg:
         assert agg[key] == pytest.approx(slow[key], rel=1e-10)
+
+
+# --- the two M2a routes -------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 11, 99])
+def test_m2a_gram_and_tensor_routes_agree(p):
+    from mlerisk.data_moments import _m2a_gram, _m2a_tensor
+
+    rng = np.random.default_rng(200 + p)
+    x = rng.standard_normal((p + 60, p)) ** 3
+    gram, tensor = _m2a_gram(x, chunk=37), _m2a_tensor(x, chunk=37)
+    assert tensor == pytest.approx(gram, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, p, route",
+    [(40, 1, "tensor"), (40, 2, "tensor"), (40, 3, "tensor"), (40, 4, "tensor"),
+     (40, 5, "tensor"), (20, 5, "gram"), (25, 5, "gram"), (26, 5, "tensor")],
+)
+def test_aggregates_route_by_shape_and_match_brute_force(monkeypatch, n, p, route):
+    import mlerisk.data_moments as dm
+
+    other = {"tensor": "_m2a_gram", "gram": "_m2a_tensor"}[route]
+    monkeypatch.setattr(dm, other, lambda *a: pytest.fail(f"{other} used for n={n}, p={p}"))
+    rng = np.random.default_rng(300 + 10 * n + p)
+    x = rng.standard_normal((n, p)) ** 3
+    fast = sample_aggregates(x, chunk=7)  # 7 divides none of the n
+    slow = aggregates_brute_force(x)
+    for key in ("M2a", "M2b", "M1"):
+        assert fast[key] == pytest.approx(slow[key], rel=1e-12, abs=1e-12)
+
+
+# --- load_csv: tokens, strategies, messages -----------------------------------
+
+
+def test_load_csv_padded_missing_tokens_and_numbers(tmp_path):
+    path = _write(tmp_path, "a,b\n 1 ,2\n ? ,4\n5,  NA\n7 , 8\n9,10\n11,\t12\n")
+    ds = load_csv(path)
+    assert ds.dropped_row_count == 2
+    assert ds.rows.tolist() == [[1, 2], [7, 8], [9, 10], [11, 12]]
+
+
+def test_load_csv_numeric_user_missing_token(tmp_path):
+    # only the exact (stripped) token is missing: -999.0 is a number
+    path = _write(tmp_path, "a,b\n1,2\n-999,3\n4, -999 \n5,-999.0\n6,7\n?,8\n")
+    with pytest.raises(DataError, match=r"line 7: non-numeric value '\?' in column 'a'"):
+        load_csv(path, LoadOptions(missing_tokens=("-999",)))
+    path = _write(tmp_path, "a,b\n1,2\n-999,3\n4, -999 \n5,-999.0\n6,7\n", name="ok.csv")
+    ds = load_csv(path, LoadOptions(missing_tokens=("-999",)))
+    assert ds.dropped_row_count == 2
+    assert ds.rows.tolist() == [[1, 2], [5, -999], [6, 7]]
+
+
+def test_load_csv_quoted_fields(tmp_path):
+    path = _write(tmp_path, '"x, first","y"\n"1.5","2"\n"3",4\n" 5 ","6e1"\n7,"?"\n')
+    ds = load_csv(path)
+    assert ds.column_names == ("x, first", "y")
+    assert ds.rows.tolist() == [[1.5, 2], [3, 4], [5, 60]]
+    assert ds.dropped_row_count == 1
+    # a quote after a space is literal text, as csv.reader has it
+    path = _write(tmp_path, 'a,b\n1, "2"\n3,4\n5,6\n', name="spaced.csv")
+    with pytest.raises(DataError, match="line 2: non-numeric value \'\"2\"\' in column \'b\'"):
+        load_csv(path)
+
+
+def test_load_csv_both_strategies_on_one_file(tmp_path):
+    text = "a,b,c,d,e\n1,2,3,?,5\n6,7,8,9,10\n11,,13,14,15\n16,17,x,19,20\n21,22,23,24,25\n"
+    text += "26,27,28,29,30\n31,32,33,34,35\n"
+    path = _write(tmp_path, text)
+    # drop_rows: the bad cell of column c is in a kept row only if c is kept
+    ds = load_csv(path, LoadOptions(drop_columns=("c",)))
+    assert ds.column_names == ("a", "b", "d", "e")
+    assert ds.dropped_columns == ("c",) and ds.dropped_row_count == 2
+    assert ds.rows[:, 0].tolist() == [6, 16, 21, 26, 31]
+    # drop_columns: explicit drops first, then columns with a missing cell in order
+    ds = load_csv(path, LoadOptions(drop_columns=("c",), missing_strategy="drop_columns"))
+    assert ds.column_names == ("a", "e")
+    assert ds.dropped_columns == ("c", "b", "d") and ds.dropped_row_count == 0
+    assert ds.n == 7
+    with pytest.raises(DataError, match=r"line 5: non-numeric value 'x' in column 'c'"):
+        load_csv(path, LoadOptions(missing_strategy="drop_columns"))
+
+
+def test_load_csv_missing_row_hides_non_numeric_cell(tmp_path):
+    path = _write(tmp_path, "a,b\n1,2\n?,zebra\n3,4\n5,6\n")
+    ds = load_csv(path)
+    assert ds.dropped_row_count == 1 and ds.rows.tolist() == [[1, 2], [3, 4], [5, 6]]
+
+
+def test_load_csv_first_bad_cell_row_major(tmp_path):
+    # column b goes bad first, but column a's bad cell is in an earlier row
+    path = _write(tmp_path, "a,b,c\n1,2,3\n4,5,6\n7,8,9\nfoo,bar,12\n13,baz,15\n")
+    with pytest.raises(DataError, match=r"line 5: non-numeric value 'foo' in column 'a'"):
+        load_csv(path)
+    path = _write(tmp_path, "1,2,3\n4,5,6\n7,  oops ,9\n10,11,nope\n", name="nohead.csv")
+    with pytest.raises(DataError, match=r"line 3: non-numeric value 'oops' in column 'x2'"):
+        load_csv(path, LoadOptions(header=False))
+
+
+def test_load_csv_unknown_strategy(tmp_path):
+    path = _write(tmp_path, "a,b\n1,2\n3,4\n5,6\n")
+    with pytest.raises(DataError, match="unknown missing_strategy 'ignore'"):
+        load_csv(path, LoadOptions(missing_strategy="ignore"))
+
+
+def test_load_csv_no_rows_or_columns_left(tmp_path):
+    path = _write(tmp_path, "a,b\n?,2\n3,NA\n")
+    with pytest.raises(DataError, match="no rows left"):
+        load_csv(path)
+    with pytest.raises(DataError, match="no columns left"):
+        load_csv(path, LoadOptions(missing_strategy="drop_columns"))
+    with pytest.raises(DataError, match="no rows left"):
+        load_csv(_write(tmp_path, "a,b\n", name="head.csv"))
+
+
+def _flagged_pairs_double_loop(rows, names, threshold):
+    x = rows - rows.mean(axis=0)
+    sd = x.std(axis=0)
+    sd[sd == 0] = np.nan
+    c = (x.T @ x) / rows.shape[0] / np.outer(sd, sd)
+    flagged = []
+    for i in range(rows.shape[1]):
+        for j in range(i + 1, rows.shape[1]):
+            if np.isfinite(c[i, j]) and abs(c[i, j]) > threshold:
+                flagged.append((names[i], names[j], float(c[i, j])))
+    return tuple(flagged)
+
+
+@pytest.mark.parametrize("threshold", [0.99, 0.5, 0.0])
+def test_flagged_pairs_match_double_loop(tmp_path, threshold):
+    rng = np.random.default_rng(17)
+    base = rng.standard_normal((300, 4))
+    cols = [base[:, 0], base[:, 0] + 1e-3 * base[:, 1], base[:, 2], -base[:, 2] + 1e-3 * base[:, 3],
+            np.full(300, 4.0), 0.6 * base[:, 0] + 0.8 * base[:, 3], base[:, 1]]
+    names = [f"c{j}" for j in range(len(cols))]
+    lines = [",".join(names)] + [",".join(map(repr, row.tolist())) for row in np.column_stack(cols)]
+    ds = load_csv(_write(tmp_path, "\n".join(lines) + "\n"), LoadOptions(correlation_threshold=threshold))
+    want = _flagged_pairs_double_loop(ds.rows, ds.column_names, threshold)
+    assert ds.flagged_pairs == want
+    assert len(want) >= 2
+    assert all(type(a) is str and type(c) is float for a, _, c in ds.flagged_pairs)

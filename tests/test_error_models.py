@@ -177,3 +177,24 @@ def test_error_model_from_spec():
         error_model_from_spec("cauchy")
     with pytest.raises(ValueError):
         error_model_from_spec("t")
+
+
+def test_custom_density_tails_raise_no_numeric_warnings():
+    import warnings
+
+    b = "3"
+    r = f"phi({b}*y)/Phi({b}*y)"
+    skew = (  # log(Phi(3y)) is -inf once Phi underflows, far to the left
+        f"logf = log(2) - y^2/2 - log(2*pi)/2 + log(Phi({b}*y))\n"
+        f"d1 = -y + {b}*{r}\n"
+        f"d2 = -1 - {b}^3*y*{r} - {b}^2*({r})^2\n"
+        f"d3 = {b}^3*(2*({r})^3 + 3*{b}*y*({r})^2 + ({b}^2*y^2 - 1)*{r})\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = custom_error(skew)
+        assert model.logpdf(np.array([-40.0]))[0] == -np.inf
+        assert model.pdf(np.array([-40.0]))[0] == 0.0
+        # exp(-y) overflows far to the left: rejected for the inf, not for a warning
+        with pytest.raises(ValueError, match="non-finite values"):
+            custom_error("logf = -y\nd1 = -1\nd2 = 0\nd3 = 0\n")
