@@ -30,6 +30,7 @@ from .data_moments import DataError, LoadOptions, load_csv, sample_aggregates, s
 from .error_models import error_model_from_spec
 from .eta import EtaTableError, build_eta_table
 from .expansion import SingularInformationError, evaluate_risk, risk_expansion
+from .mc import SimConfig, estimate_risk
 from .moments import AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
 
 __all__ = ["main"]
@@ -326,8 +327,6 @@ def _cmd_eta(args):
 
 
 def _cmd_validate(args):
-    from .mc import SimConfig, estimate_risk  # heavy import kept local
-
     model = error_model_from_spec(args.error)
     beta = tuple(float(b) for b in args.beta.split(",")) if args.beta else (0.0,) * (args.p + 1)
     if len(beta) != args.p + 1:

@@ -107,12 +107,13 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
     else:
         names = [f"x{i+1}" for i in range(len(raw[0]))]
         body = raw
-    first_line = 2 if options.header else 1
+    skip = 1 if options.header else 0  # records of raw before body
     width = len(names)
-    for lineno, row in enumerate(body, start=first_line):
+    for r, row in enumerate(body):
         if len(row) != width:
             raise DataError(
-                f"{path}: line {lineno}: expected {width} fields, found {len(row)}"
+                f"{path}: line {_record_line(path, options, skip + r)}: "
+                f"expected {width} fields, found {len(row)}"
             )
 
     if options.missing_strategy not in ("drop_rows", "drop_columns"):
@@ -156,7 +157,8 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
         except ValueError:
             r, i, tok = _first_bad_cell(cells, width, rows, keep)
             raise DataError(
-                f"{path}: line {first_line + r}: non-numeric value {tok!r} in column {names[i]!r}"
+                f"{path}: line {_record_line(path, options, skip + r)}: "
+                f"non-numeric value {tok!r} in column {names[i]!r}"
             ) from None
     if data.shape[0] <= data.shape[1]:
         raise DataError(
@@ -170,6 +172,23 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
         dropped_row_count=dropped_row_count,
         flagged_pairs=_flag_correlations(data, kept_names, options.correlation_threshold),
     )
+
+
+def _record_line(path, options, index):
+    """File line on which the ``index``-th non-blank record starts.
+
+    Blank lines are skipped and a quoted field may span lines, so this
+    re-reads the file up to that record; only error messages call it.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=options.delimiter)
+        start = 1
+        for row in reader:
+            if row:
+                if index == 0:
+                    return start
+                index -= 1
+            start = reader.line_num + 1
 
 
 def _first_bad_cell(cells, width, rows, keep):

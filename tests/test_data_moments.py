@@ -52,6 +52,29 @@ def test_load_csv_ragged_line_reports_number(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_line_numbers_count_blank_lines(tmp_path):
+    path = _write(tmp_path, "a,b\n1,2\n\n3,4\n5\n")
+    with pytest.raises(DataError, match="line 5: expected 2 fields, found 1"):
+        load_csv(path)
+    path = _write(tmp_path, "\n1,2\n\n\n3,x\n4,5\n6,7\n", name="nohead.csv")
+    with pytest.raises(DataError, match=r"line 5: non-numeric value 'x' in column 'x2'"):
+        load_csv(path, LoadOptions(header=False))
+
+
+def test_load_csv_line_numbers_after_multiline_field(tmp_path):
+    # the quoted field of the first record spans lines 2-3
+    path = _write(tmp_path, 'a,b\n1,"2\n"\n3,4\n5,z\n6,7\n')
+    with pytest.raises(DataError, match=r"line 5: non-numeric value 'z' in column 'b'"):
+        load_csv(path)
+    path = _write(tmp_path, 'a,b\n1,"2\n"\n3,4\n5\n', name="ragged.csv")
+    with pytest.raises(DataError, match="line 5: expected 2 fields"):
+        load_csv(path)
+    # a bad record is numbered by the line it starts on
+    path = _write(tmp_path, 'a,b\n1,2\n3,"x\ny"\n5,6\n7,8\n', name="bad.csv")
+    with pytest.raises(DataError, match=r"line 3: non-numeric value 'x\\ny' in column 'b'"):
+        load_csv(path)
+
+
 def test_load_csv_non_numeric(tmp_path):
     path = _write(tmp_path, "a,b\n1,2\n3,zebra\n4,5\n")
     with pytest.raises(DataError, match="zebra"):

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
+import mlerisk
+from mlerisk import mc
 from mlerisk.error_models import normal_error, skew_normal_error, student_t_error
 from mlerisk.expansion import risk_expansion
 from mlerisk.mc import (
@@ -138,6 +144,95 @@ def test_t_mle_beats_ols_on_loglik():
     assert loglik(fit.beta, fit.sigma) >= loglik(beta_ols, s_ols)
 
 
+def _reference_fit(y, x, model):
+    """Optimum by scipy: BFGS on the log likelihood, then a root of the score.
+
+    Written independently of ``mle_fit``; the root finder differences the
+    score numerically, so no analytic Hessian is shared.
+    """
+    xt = np.column_stack([np.ones(y.size), x])
+
+    def negloglik(theta):
+        sigma = math.exp(theta[-1])
+        u = (y - xt @ theta[:-1]) / sigma
+        d1 = model.log_deriv1(u)
+        value = -float(np.sum(model.log_pdf(u))) + y.size * theta[-1]
+        grad = np.append(xt.T @ d1 / sigma, float(np.sum(1.0 + d1 * u)))
+        return value, grad
+
+    beta0, *_ = np.linalg.lstsq(xt, y, rcond=None)
+    theta0 = np.append(beta0, math.log(float(np.sqrt(np.mean((y - xt @ beta0) ** 2)))))
+    first = optimize.minimize(negloglik, theta0, jac=True, method="BFGS", options={"gtol": 1e-10})
+    root = optimize.root(lambda th: negloglik(th)[1], first.x, method="hybr", options={"xtol": 1e-14})
+    assert np.max(np.abs(negloglik(root.x)[1])) < 1e-8
+    return root.x, negloglik
+
+
+@pytest.mark.parametrize("model", [normal_error(), student_t_error(3), skew_normal_error(3.0)], ids=repr)
+@pytest.mark.parametrize("n,p", [(60, 1), (200, 3), (120, 10)])
+def test_newton_fit_matches_scipy_reference(model, n, p):
+    rng = np.random.default_rng(100 * n + p)
+    x = rng.standard_normal((n, p))
+    y = 0.5 + x @ np.linspace(-1.0, 1.0, p) + draw_errors(model, n, rng)
+    fit = mle_fit(y, x, model)
+    theta, _ = _reference_fit(y, x, model)
+    assert fit.converged and fit.grad_sup_norm < 1e-10
+    # exact Newton from least squares takes at most 8 steps on these samples;
+    # a wrong Hessian still converges through the line search, but slowly
+    assert fit.iterations <= 10
+    assert np.max(np.abs(fit.beta - theta[:-1])) < 1e-8
+    assert abs(fit.sigma - math.exp(theta[-1])) < 1e-8
+
+
+def test_newton_fit_converges_where_hessian_is_indefinite():
+    """Gross outliers at high leverage make the t(3) likelihood non-concave at
+    the least-squares start; the shifted Newton steps must still converge."""
+    model = student_t_error(3)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((100, 2))
+    y = 1.0 + x @ np.array([0.5, -0.3]) + rng.standard_t(3, 100)
+    y[:4] += [300.0, -250.0, 400.0, 500.0]
+    x[:4, 0] += 6.0
+    theta_ref, negloglik = _reference_fit(y, x, model)
+
+    xt = np.column_stack([np.ones(100), x])
+    beta0, *_ = np.linalg.lstsq(xt, y, rcond=None)
+    theta0 = np.append(beta0, math.log(float(np.sqrt(np.mean((y - xt @ beta0) ** 2)))))
+    h = 1e-5
+    hess = np.array([
+        (negloglik(theta0 + h * e)[1] - negloglik(theta0 - h * e)[1]) / (2 * h) for e in np.eye(4)
+    ])
+    assert np.linalg.eigvalsh((hess + hess.T) / 2)[0] < 0  # minus the Hessian is indefinite
+
+    fit = mle_fit(y, x, model)
+    assert fit.converged
+    assert np.max(np.abs(fit.beta - theta_ref[:-1])) < 1e-8
+    assert abs(fit.sigma - math.exp(theta_ref[-1])) < 1e-8
+
+
+@pytest.mark.parametrize("init", [((50.0, -40.0, 30.0), 1e-3), ((0.0, 0.0, 0.0), 1e-6), ((5.0, 5.0, 5.0), 1e8)])
+def test_newton_fit_from_far_start_raises_no_warning(init):
+    model = skew_normal_error(3.0)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((150, 2))
+    y = x @ np.array([1.0, 2.0]) + draw_errors(model, 150, rng)
+    near = mle_fit(y, x, model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        far = mle_fit(y, x, model, init=init)
+    assert far.converged
+    assert np.max(np.abs(far.beta - near.beta)) < 1e-8 and abs(far.sigma - near.sigma) < 1e-8
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlerisk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import mlerisk, sys; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # --- divergence ---------------------------------------------------------------
 
 
@@ -194,6 +289,68 @@ def test_divergence_hellinger_against_quadpack():
     expected = 4.0 * (1.0 - target)
     v, _ = divergence(model, (np.array([m1]), s1), (np.array([0.0]), s2), 0.0, np.empty((1, 0)))
     assert v == pytest.approx(expected, abs=1e-8)
+
+
+def _profile_sizes(monkeypatch):
+    """Record how many deltas each call of the per-delta quadrature gets."""
+    sizes = []
+    direct = mc._divergence_profile
+
+    def counted(model, deltas, *args, **kwargs):
+        sizes.append(np.size(deltas))
+        return direct(model, deltas, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "_divergence_profile", counted)
+    return sizes, direct
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("model", [normal_error(), student_t_error(3), skew_normal_error(3.0)], ids=repr)
+@pytest.mark.parametrize("x_dist", ["t", "pareto"])
+def test_chebyshev_divergence_matches_per_delta(monkeypatch, x_dist, model, alpha):
+    tol = 1e-9
+    rng = np.random.default_rng(17)
+    xs = draw_regressors(x_dist, None, 10_000, 3, rng)
+    # delta spans about [-1.1, 0.5] (t) and [-0.3, 1.1] (pareto); much wider
+    # ranges at alpha = 3 exceed what the per-delta quadrature certifies
+    b1, s1 = np.array([0.015, 0.03, -0.024, 0.036]), 1.05
+    b2, s2 = np.zeros(4), 1.0
+    sizes, direct = _profile_sizes(monkeypatch)
+    value, fails = divergence(model, (b1, s1), (b2, s2), alpha, xs, tol=tol)
+    assert fails == 0
+    assert max(sizes) <= mc._CHEB_CAP + 1  # certified on the grid, no fallback
+
+    deltas = b1[0] + xs @ b1[1:]
+    per_x, ok = direct(model, deltas, s1, s2, alpha, tol=tol)
+    assert ok.all()
+    assert abs(value - float(np.mean(per_x))) <= 2 * tol
+    lo, hi = deltas.min(), deltas.max()
+    coeffs = mc._certified_profile(lambda d: direct(model, d, s1, s2, alpha, tol=tol), lo, hi, tol)
+    t = (2.0 * deltas - (hi + lo)) / (hi - lo)
+    assert np.max(np.abs(np.polynomial.chebyshev.chebval(t, coeffs) - per_x)) <= 2 * tol
+
+
+def test_divergence_falls_back_when_the_profile_does_not_certify(monkeypatch):
+    """A delta range of +-1e4 around a feature of width ~1 needs far more than
+    the capped grid; every distinct delta is then integrated on its own."""
+    model = student_t_error(3)
+    xs = np.linspace(-1.0, 1.0, 200)[:, None]
+    b1, b2 = np.array([0.0, 1e4]), np.zeros(2)
+    sizes, direct = _profile_sizes(monkeypatch)
+    value, fails = divergence(model, (b1, 1.0), (b2, 1.0), -1.0, xs)
+    assert fails == 0
+    assert sizes[-1] == 200 and sum(sizes[:-1]) == mc._CHEB_CAP + 1
+    per_x, ok = direct(model, xs[:, 0] * 1e4, 1.0, 1.0, -1.0)
+    assert ok.all() and value == pytest.approx(float(np.mean(per_x)), abs=1e-12)
+
+
+def test_divergence_with_few_distinct_deltas_integrates_each(monkeypatch):
+    rng = np.random.default_rng(4)
+    xs = draw_regressors("controlled", None, 10_000, 3, rng)
+    sizes, _ = _profile_sizes(monkeypatch)
+    _, fails = divergence(student_t_error(3), (np.array([0.1, 0.2, -0.1, 0.3]), 1.1),
+                          (np.zeros(4), 1.0), -1.0, xs)
+    assert fails == 0 and sizes == [8]
 
 
 # --- risk estimation ----------------------------------------------------------
