@@ -144,6 +144,10 @@ def rss(
     equation has a real solution inside the validity region (positive and
     decreasing expansion).
     """
+    if k_start < 1:
+        raise ValueError(f"k_start must be a positive integer, got {k_start}")
+    if k_step < 1:
+        raise ValueError(f"k_step must be a positive integer, got {k_step}")
     k = k_start
     while k <= k_max:
         n = solve_rss_at_k(expansion, alpha, k)

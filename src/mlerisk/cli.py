@@ -369,6 +369,10 @@ def _cmd_validate(args):
 
 
 def _cmd_series(args):
+    if args.k_min < 1:
+        raise ValueError(f"--k-min must be a positive integer, got {args.k_min}")
+    if args.k_max < args.k_min:
+        raise ValueError(f"--k-max ({args.k_max}) must not be below --k-min ({args.k_min})")
     exp, payload = _expansion_from_args(args)
     from .benchmarks import binomial_risk
 

@@ -172,67 +172,105 @@ def _check_indices(i, j, k, l):
         raise ValueError(f"indices out of range: ({i},{j},{k},{l})")
 
 
-def _t_ch(a: int, b_shift: int, nu):
-    """c(nu) * H(a, nu + b_shift) for even a >= 0, as a rational function of nu.
+def _prefix_products(start, step):
+    """``at(n) = prod_{r<n} (start + r*step)``, each product formed once, on demand."""
+    prefix = [1]
 
-    H(a, b) integrates y^a (1 + y^2/nu)^(-(b+1)/2) over R.  Writing every
-    Gamma factor as an integer shift of Gamma(nu/2) or Gamma((nu+1)/2) leaves
-    a plain rational expression, so exact arithmetic survives for rational nu.
+    def at(n: int):
+        while len(prefix) <= n:
+            prefix.append(prefix[-1] * (start + (len(prefix) - 1) * step))
+        return prefix[n]
+
+    return at
+
+
+def _student_t_eta(nu):
+    """Return ``eta(i, j, k, l)`` for the t(nu) error, sharing one set-up.
+
+    Expanding (y^2 - 3 nu)^i (y^2 - nu)^j binomially (the 3^(i-s) factor comes
+    from the third log-derivative's 3*nu root) reduces every entry to tail
+    integrals c(nu) H(a, nu + b), H(a, b) = int y^a (1 + y^2/nu)^(-(b+1)/2) dy,
+    with a = i+k+l+2u (u = s+t) and b - nu = 2m, m = 3i+2j+k.  Each H is a
+    ratio of Gamma functions at integer shifts of nu/2 and (nu+1)/2.  Writing
+    nu = P/Q, every power of nu, Q and 2 that varies with u cancels, leaving
+
+        eta = (-1)^(j+k) 2^i (P+Q)^(i+j+k) Q^i P^(A0-2i-j-k) / U(m)
+              * sum_{s,t} (-1)^u 3^(i-s) C(i,s) C(j,t) (2A0+2u-1)!! Q^u R(D0-u)
+
+    where A0 = (i+k+l)/2, D0 = m - A0, U(m) = prod_{r<m} (P+Q+2rQ) is
+    Gamma((nu+1)/2) / Gamma((nu+1)/2 + m) up to powers of 2Q, and R(D) =
+    prod_{r<D} (P+2rQ) is Gamma(nu/2 + D) / Gamma(nu/2) likewise (for D < 0,
+    1 / prod_{r=1}^{-D} (P-2rQ)).  R and U are prefix products shared by all
+    entries, so an entry costs a few integer products and one normalisation:
+    a ``Fraction`` for rational nu.  A float nu is taken at its exact binary
+    value P/Q and its entries are the integer ratios rounded once to float,
+    i.e. the correctly rounded values of the exact moments at that nu.
+
+    Raises :class:`EtaDivergenceError` when a term's integral diverges
+    (a >= nu + b, i.e. P + 2DQ <= 0); on the table grid D >= 0 always.
     """
-    one = nu / nu  # Fraction(1) or 1.0, matching nu's type
-    if a % 2 == 1:
-        return 0 * one
-    if a < 0 or not (a < nu + b_shift):
-        raise EtaDivergenceError(
-            f"moment diverges: H({a}, nu+{b_shift}) requires a < b (nu={nu})"
-        )
-    A = a // 2
-    if b_shift % 2 != 0:
-        raise ValueError("internal: b - nu must be even on the table grid")
-    # Gamma((b-a)/2) / Gamma(nu/2), shift D = b_shift/2 - A
-    D = b_shift // 2 - A
-    ratio1 = one
-    if D >= 0:
-        for r in range(D):
-            ratio1 = ratio1 * (nu / 2 + r)
-    else:
-        for r in range(1, -D + 1):
-            ratio1 = ratio1 / (nu / 2 - r)
-    # Gamma((nu+1)/2) / Gamma((b+1)/2), shift E/2 = b_shift/2
-    ratio2 = one
-    for r in range(b_shift // 2):
-        ratio2 = ratio2 / ((nu + 1) / 2 + r)
-    return (nu**A) * Fraction(_double_factorial(2 * A - 1), 2**A) * ratio1 * ratio2
+    nu = Fraction(nu) if isinstance(nu, (int, Fraction)) else float(nu)
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
+    exact = isinstance(nu, Fraction)
+    P, Q = nu.as_integer_ratio()
+    rising = _prefix_products(P, 2 * Q)
+    upper = _prefix_products(P + Q, 2 * Q)
+
+    def eta(i: int, j: int, k: int, l: int):
+        if (i + k + l) % 2:
+            return Fraction(0) if exact else 0.0
+        m = 3 * i + 2 * j + k
+        A0 = (i + k + l) // 2
+        D0 = m - A0
+        for u in range(i + j + 1):
+            if not P + 2 * (D0 - u) * Q > 0:
+                raise EtaDivergenceError(
+                    f"moment diverges: H({2 * (A0 + u)}, nu+{2 * m}) requires a < b (nu={nu})"
+                )
+        # Negative shifts put prod_{r=1}^{n} (P-2rQ) in every term's denominator;
+        # the check above keeps each of its factors positive.
+        n = max(0, i + j - D0)
+        falling = math.prod(P - 2 * r * Q for r in range(1, n + 1))
+        total = 0
+        for s in range(i + 1):
+            for t in range(j + 1):
+                u = s + t
+                D = D0 - u
+                shift = (
+                    rising(D) * falling
+                    if D >= 0
+                    else math.prod(P - 2 * r * Q for r in range(1 - D, n + 1))
+                )
+                total += (
+                    (-1) ** u
+                    * 3 ** (i - s)
+                    * math.comb(i, s)
+                    * math.comb(j, t)
+                    * _double_factorial(2 * (A0 + u) - 1)
+                    * Q**u
+                    * shift
+                )
+        num = (-1) ** (j + k) * 2**i * (P + Q) ** (i + j + k) * Q**i * total
+        den = upper(m) * falling
+        p_power = A0 - 2 * i - j - k
+        if p_power >= 0:
+            num *= P**p_power
+        else:
+            den *= P ** (-p_power)
+        return Fraction(num, den) if exact else num / den
+
+    return eta
 
 
 def eta_t(i: int, j: int, k: int, l: int, nu):
     """Closed form for the t(nu) error; exact when nu is rational.
 
-    Expands (y^2 - 3 nu)^i (y^2 - nu)^j binomially, reducing each term to a
-    tail integral with a Gamma-ratio value.  (The 3^(i-s) binomial factor
-    comes from the third log-derivative's 3*nu root.)  Raises
-    :class:`EtaDivergenceError` when any contributing term fails the
-    convergence condition of that integral.
+    Raises :class:`EtaDivergenceError` when any contributing tail integral
+    diverges (possible only off the table grid).
     """
     _check_indices(i, j, k, l)
-    nu = Fraction(nu) if isinstance(nu, (int, Fraction)) else float(nu)
-    if not nu > 0:
-        raise ValueError("nu must be positive")
-    total = 0 * (nu / nu)
-    b_shift = 6 * i + 4 * j + 2 * k
-    for s in range(i + 1):
-        for t in range(j + 1):
-            a = i + k + l + 2 * s + 2 * t
-            ch = _t_ch(a, b_shift, nu)
-            if ch == 0:
-                continue
-            coeff = (
-                Fraction(2**i * (-1) ** (j + k + s + t) * 3 ** (i - s))
-                * math.comb(i, s)
-                * math.comb(j, t)
-            )
-            total = total + coeff * (nu + 1) ** (i + j + k) * nu ** (-(s + t + 2 * i + j + k)) * ch
-    return total
+    return _student_t_eta(nu)(i, j, k, l)
 
 
 def eta_quadrature(
@@ -338,10 +376,10 @@ def build_eta_table(model: ErrorModel, tol: float = 1e-10) -> EtaTable:
             entries[idx] = EtaEntry(eta_normal(*idx), Fraction(0), EtaMethod.CLOSED_FORM)
         exact = True
     elif model.kind is ModelKind.STUDENT_T:
-        nu = model.param
+        eta = _student_t_eta(model.param)
         for idx in GRID:
             try:
-                value = eta_t(*idx, nu)
+                value = eta(*idx)
             except EtaDivergenceError as exc:
                 raise EtaTableError(f"eta{list(idx)} for {model!r}: {exc}") from exc
             zero = Fraction(0) if isinstance(value, Fraction) else 0.0

@@ -21,6 +21,7 @@ and embarrassingly parallel.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,15 +254,15 @@ def mle_fit(y, x, model: ErrorModel, init=None, grad_tol: float = 1e-8) -> MLEFi
     )
 
 
-_NEG_ENTROPY_CACHE: dict[int, tuple[ErrorModel, float]] = {}
+# Weak keys: an entry lives only as long as its model.
+_NEG_ENTROPY_CACHE: weakref.WeakKeyDictionary[ErrorModel, float] = weakref.WeakKeyDictionary()
 
 
 def _neg_entropy(model: ErrorModel) -> float:
     """integral of f log f, a model constant shared by all KL evaluations."""
-    key = id(model)
-    hit = _NEG_ENTROPY_CACHE.get(key)
-    if hit is not None and hit[0] is model:
-        return hit[1]
+    hit = _NEG_ENTROPY_CACHE.get(model)
+    if hit is not None:
+        return hit
     res = integrate_real_line(
         lambda y: np.where(
             (f := np.asarray(model.pdf(y), dtype=float)) > 0.0,
@@ -270,7 +271,7 @@ def _neg_entropy(model: ErrorModel) -> float:
         ),
         tol=1e-12,
     )
-    _NEG_ENTROPY_CACHE[key] = (model, res.value)
+    _NEG_ENTROPY_CACHE[model] = res.value
     return res.value
 
 

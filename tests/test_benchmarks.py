@@ -152,6 +152,15 @@ def test_rss_custom_step(normal_table):
     assert result.n >= exp.validity_n_min
 
 
+@pytest.mark.parametrize(
+    "kwargs,name", [({"k_step": 0}, "k_step"), ({"k_step": -10}, "k_step"), ({"k_start": 0}, "k_start")]
+)
+def test_rss_rejects_non_positive_k_start_and_step(normal_table, kwargs, name):
+    exp = risk_expansion(normal_table, x_preset("pareto", 10))  # no admissible k below 1000
+    with pytest.raises(ValueError, match=name):
+        rss(exp, F(-1), **kwargs)
+
+
 # --- coin-toss equivalence ---------------------------------------------------
 
 

@@ -174,3 +174,22 @@ def test_entry_point_runs_as_module():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["rss", "--xpreset", "t", "--k-step", "0"], "k_step"),
+        (["rss", "--xpreset", "t", "--k-step", "-10"], "k_step"),
+        (["series", "--xpreset", "normal", "--k-min", "10", "--k-max", "5"], "--k-max"),
+        (["series", "--xpreset", "normal", "--k-min", "0"], "--k-min"),
+    ],
+)
+def test_empty_or_endless_k_range_is_config_error(argv, name):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlerisk.cli", *argv, "--error", "normal", "--p", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert name in json.loads(proc.stderr)["error"]

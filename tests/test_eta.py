@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,15 @@ from mlerisk.eta import (
     eta_quadrature,
     eta_t,
 )
+from t_eta_oracle import eta_t_oracle
+
+# nu = 4 and nu = 6 put a pole of Gamma(nu/2 + D) / Gamma(nu/2) at an
+# off-grid negative shift D; the divergence check must fire before it forms.
+EXACT_NUS = [
+    Fraction(1, 2), 1, 2, Fraction(5, 2), 3, Fraction(7, 2), 4,
+    Fraction(21, 5), Fraction(9, 2), 5, 6, Fraction(13, 2), Fraction(101, 7), 30,
+]
+FLOAT_NUS = [0.3, 0.9, 4.2, 123.456, 1e4]
 
 
 def test_grid_constraint():
@@ -41,6 +51,55 @@ def test_eta_t_closed_forms():
         assert eta_t(0, 0, 2, 0, nu) == Fraction(nu + 1, nu + 3)
     # float degrees of freedom take the float path but agree with the rational one
     assert eta_t(0, 1, 2, 2, 4.2) == pytest.approx(float(eta_t(0, 1, 2, 2, Fraction(21, 5))), rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", EXACT_NUS, ids=str)
+def test_exact_t_table_matches_gamma_loop_oracle(nu):
+    table = build_eta_table(student_t_error(nu))
+    assert table.exact
+    for idx in GRID:
+        value = table.value(*idx)
+        assert type(value) is Fraction, idx
+        assert value == eta_t_oracle(*idx, Fraction(nu)), idx
+
+
+@pytest.mark.parametrize("nu", EXACT_NUS, ids=str)
+def test_eta_t_index_rectangle_matches_oracle_or_diverges_alike(nu):
+    for idx in itertools.product(range(2), range(3), range(5), range(5)):
+        try:
+            expected = eta_t_oracle(*idx, nu)
+        except EtaDivergenceError as exc:
+            with pytest.raises(EtaDivergenceError) as got:
+                eta_t(*idx, nu)
+            assert str(got.value) == str(exc), idx
+            continue
+        value = eta_t(*idx, nu)
+        assert type(value) is Fraction and value == expected, idx
+
+
+def test_float_t_table_is_correctly_rounded_exact_value():
+    """Float nu entries are the exact moments at Fraction(nu), rounded once.
+
+    The documented bound is 1e-13 * max(1, |exact|); the kernel meets it with
+    room to spare because it rounds only the final integer ratio.
+    """
+    worst = 0.0
+    for nu in FLOAT_NUS:
+        table = build_eta_table(student_t_error(nu))
+        assert not table.exact
+        for idx in GRID:
+            exact = float(eta_t_oracle(*idx, Fraction(nu)))
+            value = table.value(*idx)
+            assert type(value) is float, (nu, idx)
+            worst = max(worst, abs(value - exact) / max(1.0, abs(exact)))
+    assert worst <= 1e-13
+    assert worst == 0.0
+
+
+@pytest.mark.parametrize("nu", [0, -1.5, math.inf, math.nan])
+def test_eta_t_rejects_nu_outside_the_positive_reals(nu):
+    with pytest.raises(ValueError, match="positive and finite"):
+        eta_t(0, 0, 2, 0, nu)
 
 
 def test_eta_t_divergence_guard():

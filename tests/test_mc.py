@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -231,6 +233,27 @@ def test_import_does_not_load_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_neg_entropy_cache_releases_dropped_models():
+    model = normal_error()
+    mc._neg_entropy(model)
+    assert model in mc._NEG_ENTROPY_CACHE
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+
+
+def test_neg_entropy_cache_serves_a_live_model_without_integrating(monkeypatch):
+    model = normal_error()
+    xs = np.empty((1, 0))
+    theta1, theta2 = (np.array([0.3]), 1.2), (np.array([0.0]), 1.0)
+    first, _ = divergence(model, theta1, theta2, -1.0, xs)
+    calls = []
+    monkeypatch.setattr(mc, "integrate_real_line", lambda *a, **kw: calls.append(a))
+    second, _ = divergence(model, theta1, theta2, -1.0, xs)
+    assert calls == [] and second == first
 
 
 # --- divergence ---------------------------------------------------------------
