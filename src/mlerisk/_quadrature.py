@@ -4,7 +4,8 @@ The change of variable y = sinh((pi/2) sinh(t)) maps R onto itself and turns
 any integrand that decays at least algebraically (faster than |y|^-2) into a
 double-exponentially decaying function of t, so the trapezoidal rule on a
 uniform t-grid converges at an essentially spectral rate.  Levels halve the
-step; the difference between two successive levels serves as the error bound.
+step; the difference between two successive levels serves as the error bound,
+or the level's rounding floor when the integrand is too large to resolve tol.
 
 Entry points: :func:`integrate_real_line` for scalar adaptive integration
 (the error-moment tables and one-off checks), and the cached node/weight
@@ -27,20 +28,24 @@ _HALF_PI = math.pi / 2.0
 _T_MAX = 4.3
 _BASE_STEP = 0.5
 _MAX_LEVEL = 12
+_EPS = float(np.finfo(float).eps)
 
 
 class QuadratureError(Exception):
     """Raised when the requested tolerance cannot be certified."""
 
 
+def _de_nodes_weights(k: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y = sinh((pi/2) sinh(t)) and weights at t = k h."""
+    t = k * h
+    s = _HALF_PI * np.sinh(t)
+    return np.sinh(s), h * np.cosh(t) * _HALF_PI * np.cosh(s)
+
+
 def _nodes_weights(level: int) -> tuple[np.ndarray, np.ndarray]:
     """All nodes/weights of the trapezoidal DE rule at ``level``."""
     h = _BASE_STEP / 2**level
-    t = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1) * h
-    s = _HALF_PI * np.sinh(t)
-    y = np.sinh(s)
-    w = h * np.cosh(t) * _HALF_PI * np.cosh(s)
-    return y, w
+    return _de_nodes_weights(np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1), h)
 
 
 @lru_cache(maxsize=None)
@@ -64,10 +69,7 @@ def _cached_new_nodes_weights(level: int) -> tuple[np.ndarray, np.ndarray]:
     h = _BASE_STEP / 2**level
     kmax = int(_T_MAX / h)
     start = kmax if kmax % 2 else kmax - 1
-    t = np.arange(-start, kmax + 1, 2) * h  # odd k only
-    s = _HALF_PI * np.sinh(t)
-    y = np.sinh(s)
-    w = h * np.cosh(t) * _HALF_PI * np.cosh(s)
+    y, w = _de_nodes_weights(np.arange(-start, kmax + 1, 2), h)  # odd k only
     y.setflags(write=False)
     w.setflags(write=False)
     return y, w
@@ -81,22 +83,24 @@ class QuadResult:
     converged: bool
 
 
-def integrate_real_line(
-    fn,
-    tol: float = 1e-10,
-    max_level: int = _MAX_LEVEL,
-    min_level: int = 2,
-) -> QuadResult:
+def integrate_real_line(fn, tol: float = 1e-10, max_level: int = _MAX_LEVEL) -> QuadResult:
     """Integrate ``fn`` over R adaptively.
 
     ``fn`` must accept a numpy array of abscissae and return the integrand
     values; non-finite values are treated as integration failure.
+
+    A level is certified once the endpoint terms are below ``tol`` and its
+    difference from the previous level is below ``tol``, the difference being
+    the bound; or, for an integrand too large to resolve ``tol``, below the
+    rounding floor 50 eps sum |f w| of the level's own sum (the roundoff floor
+    QUADPACK uses), the floor being the bound.  A result that runs out of
+    levels has ``converged`` False and the last difference as its bound.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     prev = None
     value = 0.0
-    tail = math.inf
+    err = tail = math.inf
     for level in range(max_level + 1):
         y, w = _cached_nodes_weights(level)
         f = np.asarray(fn(y), dtype=float)
@@ -118,13 +122,11 @@ def integrate_real_line(
         tail = max(abs(float(contrib[0])), abs(float(contrib[-1])))
         if prev is not None:
             err = abs(value - prev)
-            if level >= min_level and err <= tol and tail <= tol:
-                return QuadResult(value=value, error_bound=err, level=level, converged=True)
+            if level >= 2 and tail <= tol:
+                if err <= tol:
+                    return QuadResult(value=value, error_bound=err, level=level, converged=True)
+                floor = 50 * _EPS * float(np.abs(contrib).sum())
+                if err <= floor:
+                    return QuadResult(value=value, error_bound=floor, level=level, converged=True)
         prev = value
-    err = abs(value - prev) if prev is not None else math.inf
-    return QuadResult(
-        value=value,
-        error_bound=max(err, tail),
-        level=max_level,
-        converged=err <= tol and tail <= tol,
-    )
+    return QuadResult(value=value, error_bound=max(err, tail), level=max_level, converged=False)

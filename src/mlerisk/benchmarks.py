@@ -148,6 +148,8 @@ def rss(
         raise ValueError(f"k_start must be a positive integer, got {k_start}")
     if k_step < 1:
         raise ValueError(f"k_step must be a positive integer, got {k_step}")
+    if k_max < k_start:
+        raise ValueError(f"k_max ({k_max}) must be at least k_start ({k_start})")
     k = k_start
     while k <= k_max:
         n = solve_rss_at_k(expansion, alpha, k)

@@ -151,15 +151,14 @@ def _emit(args, payload) -> None:
     sys.stdout.write("\n")
 
 
-def _add_model_and_moments(sub, csv_source: bool = True):
+def _add_model_and_moments(sub):
     sub.add_argument("--error", required=True, help="normal | t:<nu> | skew-normal:<b> | custom:<file>")
     sub.add_argument("--p", type=int, help="number of explanatory variables")
     sub.add_argument("--xpreset", help="x moments preset: normal | t[:nu] | controlled | pareto[:b]")
     sub.add_argument("--homogeneous", help="homogeneous moments, e.g. m4=3,m22=1,m3=0")
     sub.add_argument("--aggregated", help="aggregated moments, e.g. M2a=0,M2b=0,M1=120")
-    if csv_source:
-        sub.add_argument("--csv", help="dataset path; moments computed after whitening")
-        _add_csv_options(sub)
+    sub.add_argument("--csv", help="dataset path; moments computed after whitening")
+    _add_csv_options(sub)
     sub.add_argument("--tol", type=float, default=1e-10, help="eta quadrature tolerance")
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "load_csv",
     "standardize",
     "sample_aggregates",
-    "aggregates_brute_force",
 ]
 
 
@@ -279,15 +278,3 @@ def _m2a_gram(x: np.ndarray, chunk: int) -> float:
         acc += float(np.einsum("ij,ij,ij->", diag, diag, diag))
         acc += 2 * float(np.einsum("ij,ij,ij->", off, off, off))
     return acc / (n * n)
-
-
-def aggregates_brute_force(x: np.ndarray) -> dict:
-    """Direct O(p^3)/O(p^4) tensor sums; the oracle for small p."""
-    x = np.asarray(x, dtype=float)
-    n, p = x.shape
-    m3 = np.einsum("ti,tj,tk->ijk", x, x, x) / n
-    m4 = np.einsum("ti,tj,tk,tl->ijkl", x, x, x, x) / n
-    m2a = float(np.sum(m3 * m3))
-    m2b = float(sum(np.trace(m3[:, :, k]) ** 2 for k in range(p)))
-    m1 = float(np.einsum("iikk->", m4))
-    return {"M2a": m2a, "M2b": m2b, "M1": m1}

@@ -7,16 +7,18 @@ The expected alpha-divergence of the regression MLE expands as
 where q is a quadratic in alpha.  This module carries an
 :class:`~mlerisk.eta.EtaTable` plus a moment summary through the chain
 
-    metric block -> pattern combinators -> L terms -> geometric invariants
+    metric block -> eta patterns -> L terms -> geometric invariants
     -> (qa, qb, qc)
 
 using plain Python arithmetic throughout, so exact rational tables yield
-exact rational coefficients.  The sums over the special index pair
-{intercept, sigma} are written out verbatim from the published computational
-pipeline; where that pipeline and its accompanying derivation disagree, the
-pipeline wins, because the published coefficient tables are its output.  Its
-use of the regressor count p (rather than the full parameter count p+2)
-inside two of the inner products is likewise kept.  Reading p+2 there instead
+exact rational coefficients.  The eta patterns (expectations of products of
+score derivatives) follow from two differentiation rules and agree with the
+published program listing case by case; its one extra term, eta[0,0,1,0] in
+the (SSB) triple, vanishes by the table invariants.  Where that pipeline and
+its accompanying derivation disagree, the pipeline wins, because the
+published coefficient tables are its output: the M1 head of l12 and the use
+of the regressor count p (rather than the full parameter count p+2) inside
+two of the inner products follow the listing.  Reading p+2 there instead
 cancels in qa and qb and lowers qc by exactly 1, so that reading is reported
 as the constant shift ``q_full_param_count = [qa, qb, qc - 1]``.
 
@@ -27,8 +29,10 @@ concurrently over parameter sweeps.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .eta import EtaTable, EtaEntry
 from .moments import to_aggregated
@@ -92,168 +96,87 @@ def metric_block(table: EtaTable) -> MetricBlock:
 
 
 # ---------------------------------------------------------------------------
-# Pattern combinators.  Each maps sigma-counts within the index groups to the
-# published linear combination of eta entries.  Slot code: 0 = beta-type
-# index, 1 = sigma.  All listed symmetries (order within a group, order of
-# the groups of equal shape) hold by construction.
+# Patterns.  A group of n slots (0 = beta-type index, 1 = sigma) stands for
+# the n-th score derivative at sigma = 1 with its x factors dropped: a
+# polynomial {(i, j, k, l): coefficient} in the monomials d3^i d2^j d1^k y^l.
+# The first derivative is -d1 for a beta slot and -(1 + y d1) for a sigma
+# slot; each further beta slot maps P to -P', and each further sigma slot, at
+# derivative order m, maps P to -(m P + y P').  A pattern is the expectation
+# of the product of its groups, each monomial reading eta[i,j,k,l], with
+# eta[0,0,0,0] = 1 and eta[0,0,1,0] = 0 (the table invariants).  Mixed
+# partials commute, so a group depends only on its size and sigma count.
 # ---------------------------------------------------------------------------
 
-
-def _pair_single(t: EtaTable, ns_pair: int, ns_single: int):
-    v = t.value
-    key = (ns_pair, ns_single)
-    if key == (0, 0):
-        return -v(0, 1, 1, 0)
-    if key == (1, 0):
-        return -(v(0, 1, 1, 1) + v(0, 0, 2, 0))
-    if key == (0, 1):
-        return -(v(0, 1, 0, 0) + v(0, 1, 1, 1))
-    if key == (1, 1):
-        return -(v(0, 1, 0, 1) + v(0, 1, 1, 2) + v(0, 0, 2, 1))
-    if key == (2, 0):
-        return -(v(0, 1, 1, 2) + 2 * v(0, 0, 2, 1))
-    if key == (2, 1):
-        return -(1 + 3 * v(0, 0, 1, 1) + v(0, 1, 0, 2) + 2 * v(0, 0, 2, 2) + v(0, 1, 1, 3))
-    raise ValueError(f"bad sigma counts for (ab)c pattern: {key}")
+_ONE = (0, 0, 0, 0)
+_D1 = (0, 0, 1, 0)
 
 
-def _triple(t: EtaTable, ns: int):
-    v = t.value
-    if ns == 0:
-        return -v(0, 0, 3, 0)
-    if ns == 1:
-        return -(v(0, 0, 2, 0) + v(0, 0, 3, 1))
-    if ns == 2:
-        # the derivation's form; the program listing carries an extra
-        # eta[0,0,1,0], identically zero by the table invariants
-        return -(2 * v(0, 0, 2, 1) + v(0, 0, 3, 2))
-    if ns == 3:
-        return -(1 + 3 * v(0, 0, 1, 1) + 3 * v(0, 0, 2, 2) + v(0, 0, 3, 3))
-    raise ValueError(f"bad sigma count for abc pattern: {ns}")
+def _derivative(poly: Counter) -> Counter:
+    """d/dy, with d1' = d2 and d2' = d3; no group reaches d3'."""
+    out = Counter()
+    for (i, j, k, l), c in poly.items():
+        if j:
+            out[i + 1, j - 1, k, l] += j * c
+        if k:
+            out[i, j + 1, k - 1, l] += k * c
+        if l:
+            out[i, j, k, l - 1] += l * c
+    return out
 
 
-def _pair_pair(t: EtaTable, n1: int, n2: int):
-    v = t.value
-    key = (min(n1, n2), max(n1, n2))
-    if key == (0, 0):
-        return v(0, 2, 0, 0)
-    if key == (0, 1):
-        return v(0, 2, 0, 1) + v(0, 1, 1, 0)
-    if key == (1, 1):
-        return v(0, 2, 0, 2) + 2 * v(0, 1, 1, 1) + v(0, 0, 2, 0)
-    if key == (0, 2):
-        return v(0, 1, 0, 0) + v(0, 2, 0, 2) + 2 * v(0, 1, 1, 1)
-    if key == (1, 2):
-        return v(0, 1, 0, 1) + v(0, 2, 0, 3) + 3 * v(0, 1, 1, 2) + 2 * v(0, 0, 2, 1)
-    if key == (2, 2):
-        return (
-            1
-            + v(0, 2, 0, 4)
-            + 4 * v(0, 0, 2, 2)
-            + 2 * v(0, 1, 0, 2)
-            + 4 * v(0, 0, 1, 1)
-            + 4 * v(0, 1, 1, 3)
-        )
-    raise ValueError(f"bad sigma counts for (ab)(cd) pattern: {key}")
+def _group(n: int, ns: int) -> Counter:
+    """The n-th score derivative with ns sigma slots (taken first)."""
+    poly = Counter({_ONE: -1, (0, 0, 1, 1): -1} if ns else {_D1: -1})
+    for m in range(1, n):
+        dp = _derivative(poly)
+        if m < ns:
+            poly = Counter({mono: -m * c for mono, c in poly.items()})
+            for (i, j, k, l), c in dp.items():
+                poly[i, j, k, l + 1] -= c
+        else:
+            poly = Counter({mono: -c for mono, c in dp.items()})
+    return poly
 
 
-def _triple_single(t: EtaTable, ns_triple: int, ns_single: int):
-    v = t.value
-    key = (ns_triple, ns_single)
-    if key == (0, 0):
-        return v(1, 0, 1, 0)
-    if key == (0, 1):
-        return v(1, 0, 0, 0) + v(1, 0, 1, 1)
-    if key == (1, 0):
-        return 2 * v(0, 1, 1, 0) + v(1, 0, 1, 1)
-    if key == (2, 0):
-        return 4 * v(0, 1, 1, 1) + 2 * v(0, 0, 2, 0) + v(1, 0, 1, 2)
-    if key == (1, 1):
-        return 2 * v(0, 1, 0, 0) + v(1, 0, 0, 1) + 2 * v(0, 1, 1, 1) + v(1, 0, 1, 2)
-    if key == (2, 1):
-        return (
-            4 * v(0, 1, 0, 1)
-            + v(1, 0, 0, 2)
-            + 4 * v(0, 1, 1, 2)
-            + 2 * v(0, 0, 2, 1)
-            + v(1, 0, 1, 3)
-        )
-    if key == (3, 0):
-        return 6 * v(0, 1, 1, 2) + 6 * v(0, 0, 2, 1) + v(1, 0, 1, 3)
-    if key == (3, 1):
-        return (
-            2
-            + 6 * v(0, 1, 0, 2)
-            + 6 * v(0, 0, 1, 1)
-            + v(1, 0, 0, 3)
-            + 2 * v(0, 0, 1, 1)
-            + 6 * v(0, 1, 1, 3)
-            + 6 * v(0, 0, 2, 2)
-            + v(1, 0, 1, 4)
-        )
-    raise ValueError(f"bad sigma counts for (abc)d pattern: {key}")
+@lru_cache(maxsize=None)
+def _terms(groups: tuple) -> tuple:
+    """(constant, ((coefficient, eta index), ...)) of a product of (n, ns) groups."""
+    prod = Counter({_ONE: 1})
+    for n, ns in groups:
+        group, out = _group(n, ns), Counter()
+        for a, ca in prod.items():
+            for b, cb in group.items():
+                out[tuple(x + y for x, y in zip(a, b))] += ca * cb
+        prod = out
+    const = prod.pop(_ONE, 0)
+    prod.pop(_D1, None)
+    return const, tuple((c, idx) for idx, c in sorted(prod.items()) if c)
 
 
-def _pair_two(t: EtaTable, ns_pair: int, ns_rest: int):
-    v = t.value
-    key = (ns_pair, ns_rest)
-    if key == (0, 0):
-        return v(0, 1, 2, 0)
-    if key == (0, 1):
-        return v(0, 1, 1, 0) + v(0, 1, 2, 1)
-    if key == (1, 0):
-        return v(0, 1, 2, 1) + v(0, 0, 3, 0)
-    if key == (0, 2):
-        return v(0, 1, 0, 0) + 2 * v(0, 1, 1, 1) + v(0, 1, 2, 2)
-    if key == (1, 1):
-        return v(0, 1, 1, 1) + v(0, 0, 2, 0) + v(0, 1, 2, 2) + v(0, 0, 3, 1)
-    if key == (2, 0):
-        return v(0, 0, 2, 0) + 2 * v(0, 0, 3, 1) + v(0, 1, 2, 2)
-    if key == (1, 2):
-        return (
-            v(0, 1, 0, 1)
-            + 2 * v(0, 1, 1, 2)
-            + 2 * v(0, 0, 2, 1)
-            + v(0, 1, 2, 3)
-            + v(0, 0, 3, 2)
-        )
-    if key == (2, 1):
-        # total weight 3 on eta[0,0,2,1], exactly as the source writes it
-        return (
-            2 * v(0, 0, 2, 1)
-            + v(0, 1, 1, 2)
-            + v(0, 0, 2, 1)
-            + 2 * v(0, 0, 3, 2)
-            + v(0, 1, 2, 3)
-        )
-    if key == (2, 2):
-        return (
-            1
-            + 4 * v(0, 0, 1, 1)
-            + v(0, 1, 0, 2)
-            + 5 * v(0, 0, 2, 2)
-            + 2 * v(0, 1, 1, 3)
-            + 2 * v(0, 0, 3, 3)
-            + v(0, 1, 2, 4)
-        )
-    raise ValueError(f"bad sigma counts for (ab)cd pattern: {key}")
+def _evaluate(table: EtaTable, terms: tuple):
+    const, lin = terms
+    entries = table.entries
+    total = const
+    for c, idx in lin:
+        v = entries[idx].value
+        # unit coefficients skip the product, the costly step for Fractions
+        total += v if c == 1 else -v if c == -1 else c * v
+    return total
 
 
-def _four(t: EtaTable, ns: int):
-    v = t.value
-    if ns == 0:
-        return v(0, 0, 4, 0)
-    if ns == 1:
-        return v(0, 0, 3, 0) + v(0, 0, 4, 1)
-    if ns == 2:
-        return v(0, 0, 2, 0) + 2 * v(0, 0, 3, 1) + v(0, 0, 4, 2)
-    if ns == 3:
-        return 3 * v(0, 0, 2, 1) + 3 * v(0, 0, 3, 2) + v(0, 0, 4, 3)
-    if ns == 4:
-        return (
-            1 + 4 * v(0, 0, 1, 1) + 6 * v(0, 0, 2, 2) + 4 * v(0, 0, 3, 3) + v(0, 0, 4, 4)
-        )
-    raise ValueError(f"bad sigma count for abcd pattern: {ns}")
+def _singles(n: int, ns: int) -> tuple:
+    return ((1, 1),) * ns + ((1, 0),) * (n - ns)
+
+
+# The five families l_terms reads, (ab)c, abc, (ab)(cd), (ab)cd and abcd,
+# keyed by the sigma counts of their groups.
+_PAIR_SINGLE = {(a, s): _terms(((2, a), (1, s))) for a in range(3) for s in range(2)}
+_TRIPLE = {n: _terms(_singles(3, n)) for n in range(4)}
+_PAIR_PAIR = {(a, b): _terms(((2, a), (2, b))) for a in range(3) for b in range(3)}
+_PAIR_TWO = {(a, b): _terms(((2, a), *_singles(2, b))) for a in range(3) for b in range(3)}
+_FOUR = {n: _terms(_singles(4, n)) for n in range(5)}
+
+_SHAPES = ((2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1))
 
 
 def eta_pattern(table: EtaTable, pattern: str):
@@ -266,23 +189,11 @@ def eta_pattern(table: EtaTable, pattern: str):
     s = pattern.replace(" ", "")
     if not re.fullmatch(r"(\([BS]+\)|[BS])+", s):
         raise ValueError(f"pattern {pattern!r} is not a sequence of B/S slots and (...) groups")
-    found = re.findall(r"\([BS]+\)|[BS]", s)
-    groups = sorted((g.strip("()") for g in found), key=len, reverse=True)
-    sizes = [len(g) for g in groups]
-    ns = [g.count("S") for g in groups]
-    if sizes == [2, 1]:
-        return _pair_single(table, ns[0], ns[1])
-    if sizes == [1, 1, 1]:
-        return _triple(table, sum(ns))
-    if sizes == [2, 2]:
-        return _pair_pair(table, ns[0], ns[1])
-    if sizes == [3, 1]:
-        return _triple_single(table, ns[0], ns[1])
-    if sizes == [2, 1, 1]:
-        return _pair_two(table, ns[0], ns[1] + ns[2])
-    if sizes == [1, 1, 1, 1]:
-        return _four(table, sum(ns))
-    raise ValueError(f"unknown pattern shape {pattern!r}")
+    found = (g.strip("()") for g in re.findall(r"\([BS]+\)|[BS]", s))
+    groups = tuple(sorted(((len(g), g.count("S")) for g in found), reverse=True))
+    if tuple(n for n, _ in groups) not in _SHAPES:
+        raise ValueError(f"unknown pattern shape {pattern!r}")
+    return _evaluate(table, _terms(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +223,7 @@ def l_terms(table: EtaTable, moments) -> LTerms:
     index and ``tg`` on the special pair {intercept, sigma}.  Every sum is one
     of four contraction templates, named by the index layout of its defining
     sum (metric pairs ij, kl, su); a template's kernel maps the sigma flags of
-    its slots (0 = beta type, 1 = sigma) to an eta combinator value.
+    its slots (0 = beta type, 1 = sigma) to an eta pattern value.
     """
     agg = to_aggregated(moments)
     g = metric_block(table)
@@ -321,12 +232,11 @@ def l_terms(table: EtaTable, moments) -> LTerms:
     w = 1 / g.eta0020
     P = [(a, b, g.tg(a, b)) for a in _S for b in _S]  # (a, b, g^ab), special pair
 
-    # each combinator once, keyed by the sigma counts of its groups
-    e3p = {(a, s): _pair_single(table, a, s) for a in range(3) for s in _S}
-    e3 = [_triple(table, n) for n in range(4)]
-    e22 = {(a, b): _pair_pair(table, a, b) for a in range(3) for b in range(3)}
-    e211 = {(a, b): _pair_two(table, a, b) for a in range(3) for b in range(3)}
-    e4 = [_four(table, n) for n in range(5)]
+    # each pattern once, keyed by the sigma counts of its groups
+    e3p, e3, e22, e211, e4 = (
+        {key: _evaluate(table, terms) for key, terms in family.items()}
+        for family in (_PAIR_SINGLE, _TRIPLE, _PAIR_PAIR, _PAIR_TWO, _FOUR)
+    )
 
     pair1 = lambda a, b, c: e3p[a + b, c]  # L_(ab)c
     triple = lambda a, b, c: e3[a + b + c]  # L_abc
@@ -372,7 +282,7 @@ def l_terms(table: EtaTable, moments) -> LTerms:
         # the defining sum of l11 reads iljk, the same sum as ikjl
         l11=ikjl(e211[0, 0], pair_two),
         # The M1 head of l12 follows the published program listing, which
-        # pairs M1 with the (ab)(cd) combinator here; its derivation text
+        # pairs M1 with the (ab)(cd) pattern here; its derivation text
         # writes the (ab)cd one instead.  Every published coefficient table
         # requires the listing's variant.
         l12=ijkl(e22[0, 0], pair_two),

@@ -275,7 +275,11 @@ def _neg_entropy(model: ErrorModel) -> float:
     return res.value
 
 
-def _refined_batch(weighted_row_sum, start_level, max_level, tol, m):
+_START_LEVEL = 2
+_MAX_LEVEL = 10
+
+
+def _refined_batch(weighted_row_sum, tol, m):
     """Run the trapezoidal refinement I_L = I_{L-1}/2 + (new terms).
 
     ``weighted_row_sum(u, w)`` returns the weighted integrand summed over the
@@ -283,8 +287,8 @@ def _refined_batch(weighted_row_sum, start_level, max_level, tol, m):
     """
     total = None
     err = None
-    for level in range(start_level, max_level + 1):
-        if level == start_level:
+    for level in range(_START_LEVEL, _MAX_LEVEL + 1):
+        if level == _START_LEVEL:
             u, w = _cached_nodes_weights(level)
         else:
             u, w = _cached_new_nodes_weights(level)
@@ -302,7 +306,7 @@ def _refined_batch(weighted_row_sum, start_level, max_level, tol, m):
     return total, err <= tol
 
 
-def _divergence_profile(model, deltas, s1, s2, alpha, tol=1e-9, max_level=10):
+def _divergence_profile(model, deltas, s1, s2, alpha, tol=1e-9):
     """Per-location-shift divergence values, vectorized over deltas.
 
     The regression densities at a fixed regressor differ only by a location
@@ -332,7 +336,7 @@ def _divergence_profile(model, deltas, s1, s2, alpha, tol=1e-9, max_level=10):
             lg[~np.isfinite(lg)] = 0.0  # underflowed tail of the other density
             return lg @ fw[keep]
 
-        vals, ok = _refined_batch(row_sum, 2, max_level, tol, m)
+        vals, ok = _refined_batch(row_sum, tol, m)
         out = const + _neg_entropy(model) - vals
         return out, ok
 
@@ -359,7 +363,7 @@ def _divergence_profile(model, deltas, s1, s2, alpha, tol=1e-9, max_level=10):
         g[~np.isfinite(g)] = 0.0
         return g @ base[keep]
 
-    vals, ok = _refined_batch(row_sum, 2, max_level, tol, m)
+    vals, ok = _refined_batch(row_sum, tol, m)
     j = (s1 / s2) ** half_hi * vals
     out = 4.0 / (1.0 - alpha * alpha) * (1.0 - j)
     return out, ok

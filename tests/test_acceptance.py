@@ -18,10 +18,11 @@ import reference_values as ref
 from mlerisk.benchmarks import binomial_risk, coin_equivalent, ide, rss
 from mlerisk.data_moments import LoadOptions, load_csv, sample_aggregates, standardize
 from mlerisk.error_models import normal_error, skew_normal_error, student_t_error
-from mlerisk.eta import GRID, eta_monte_carlo, eta_normal, eta_quadrature, eta_t
+from mlerisk.eta import GRID, eta_normal, eta_quadrature, eta_t
 from mlerisk.expansion import risk_expansion
 from mlerisk.mc import SimConfig, divergence, estimate_risk
 from mlerisk.moments import AggregatedMoments, HomogeneousMoments, x_preset
+from sample_oracles import aggregates_brute_force, eta_monte_carlo
 
 F = Fraction
 
@@ -447,8 +448,6 @@ def test_c7_monte_carlo_oracle(normal_table, t3_table):
 
 def test_c8_brute_force_moment_oracle():
     start = time.time()
-    from mlerisk.data_moments import aggregates_brute_force
-
     rng = np.random.default_rng(77)
     problems = []
     for p in (1, 2, 3, 4, 5):

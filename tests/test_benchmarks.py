@@ -161,6 +161,13 @@ def test_rss_rejects_non_positive_k_start_and_step(normal_table, kwargs, name):
         rss(exp, F(-1), **kwargs)
 
 
+def test_rss_rejects_a_reversed_k_range(normal_table):
+    exp = risk_expansion(normal_table, x_preset("normal", 10))
+    with pytest.raises(ValueError, match=r"k_max \(5\).*k_start \(10\)"):
+        rss(exp, F(-1), k_max=5)
+    assert rss(exp, F(-1), k_max=10).benchmark_k == 10  # a one-point range is allowed
+
+
 # --- coin-toss equivalence ---------------------------------------------------
 
 

@@ -109,7 +109,8 @@ def test_moments_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "moments", str(path))
     payload = json.loads(out)
     assert payload["n"] == 50 and payload["p"] == 2
-    from mlerisk.data_moments import aggregates_brute_force, load_csv, standardize
+    from mlerisk.data_moments import load_csv, standardize
+    from sample_oracles import aggregates_brute_force
 
     std = standardize(load_csv(path))
     slow = aggregates_brute_force(std.scores)
@@ -183,6 +184,7 @@ def test_entry_point_runs_as_module():
         (["rss", "--xpreset", "t", "--k-step", "-10"], "k_step"),
         (["series", "--xpreset", "normal", "--k-min", "10", "--k-max", "5"], "--k-max"),
         (["series", "--xpreset", "normal", "--k-min", "0"], "--k-min"),
+        (["rss", "--xpreset", "normal", "--k-max", "5"], "k_max"),
     ],
 )
 def test_empty_or_endless_k_range_is_config_error(argv, name):

@@ -4,11 +4,11 @@ import pytest
 from mlerisk.data_moments import (
     DataError,
     LoadOptions,
-    aggregates_brute_force,
     load_csv,
     sample_aggregates,
     standardize,
 )
+from sample_oracles import aggregates_brute_force
 
 
 def _write(tmp_path, text, name="data.csv"):

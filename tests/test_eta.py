@@ -11,11 +11,11 @@ from mlerisk.eta import (
     EtaDivergenceError,
     EtaMethod,
     build_eta_table,
-    eta_monte_carlo,
     eta_normal,
     eta_quadrature,
     eta_t,
 )
+from sample_oracles import eta_monte_carlo
 from t_eta_oracle import eta_t_oracle
 
 # nu = 4 and nu = 6 put a pole of Gamma(nu/2 + D) / Gamma(nu/2) at an

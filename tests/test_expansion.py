@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mlerisk.error_models import normal_error
-from mlerisk.eta import EtaEntry, EtaMethod, EtaTable, build_eta_table, eta_normal
+from mlerisk.eta import GRID, EtaEntry, EtaMethod, EtaTable, build_eta_table, eta_normal
 from mlerisk.expansion import (
     SingularInformationError,
     eta_pattern,
@@ -16,6 +16,7 @@ from mlerisk.expansion import (
     risk_expansion,
 )
 from mlerisk.moments import AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
+from combinator_oracle import ORACLE_CASES
 
 F = Fraction
 
@@ -61,7 +62,7 @@ def test_metric_block_singular():
         metric_block(broken)
 
 
-# --- pattern combinators ----------------------------------------------------
+# --- eta patterns ------------------------------------------------------------
 
 
 def test_pattern_examples_normal(normal_table):
@@ -102,6 +103,45 @@ def test_pattern_symmetries(sn3_table):
     assert eta_pattern(sn3_table, "(BSS)B") == eta_pattern(sn3_table, "(SBS)B")
     assert eta_pattern(sn3_table, "(BS)BS") == eta_pattern(sn3_table, "(SB)SB")
     assert eta_pattern(sn3_table, "BSSB") == eta_pattern(sn3_table, "SSBB")
+
+
+def _random_rational_table(seed):
+    rng = np.random.default_rng(seed)
+    entries = {
+        idx: EtaEntry(F(int(rng.integers(-999, 1000)), int(rng.integers(1, 97))), F(0), EtaMethod.CLOSED_FORM)
+        for idx in GRID
+    }
+    return EtaTable(f"random rational table {seed}", entries, exact=True)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_derived_patterns_equal_the_hand_expanded_listing_exactly(seed):
+    # random entries: eta[0,0,0,0] != 1 and eta[0,0,1,0] != 0 here, so an
+    # entry the listing does not read would show up as a mismatch
+    table = _random_rational_table(seed)
+    assert len(ORACLE_CASES) == 41
+    for pattern, oracle in ORACLE_CASES:
+        assert eta_pattern(table, pattern) == oracle(table), pattern
+
+
+def test_derived_patterns_match_the_listing_on_a_quadrature_table(sn3_table):
+    for pattern, oracle in ORACLE_CASES:
+        want = oracle(sn3_table)
+        assert abs(eta_pattern(sn3_table, pattern) - want) <= 1e-15 * max(1.0, abs(want)), pattern
+
+
+def test_every_pattern_term_reads_a_grid_entry():
+    from mlerisk import expansion
+
+    families = (
+        expansion._PAIR_SINGLE, expansion._TRIPLE, expansion._PAIR_PAIR, expansion._PAIR_TWO, expansion._FOUR
+    )
+    term_lists = [terms for family in families for terms in family.values()]
+    term_lists += [expansion._terms(((3, a), (1, s))) for a in range(4) for s in range(2)]  # (abc)d
+    for const, lin in term_lists:
+        assert const in (-2, -1, 0, 1, 2)
+        for c, idx in lin:
+            assert c != 0 and idx in GRID and idx not in ((0, 0, 0, 0), (0, 0, 1, 0))
 
 
 def test_pattern_rejects_unknown_shapes(normal_table):
