@@ -35,25 +35,19 @@ class QuadratureError(Exception):
     """Raised when the requested tolerance cannot be certified."""
 
 
-def _de_nodes_weights(k: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes y = sinh((pi/2) sinh(t)) and weights at t = k h."""
-    t = k * h
-    s = _HALF_PI * np.sinh(t)
-    return np.sinh(s), h * np.cosh(t) * _HALF_PI * np.cosh(s)
-
-
-def _nodes_weights(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nodes/weights of the trapezoidal DE rule at ``level``."""
-    h = _BASE_STEP / 2**level
-    return _de_nodes_weights(np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1), h)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @lru_cache(maxsize=None)
 def _cached_nodes_weights(level: int) -> tuple[np.ndarray, np.ndarray]:
-    y, w = _nodes_weights(level)
-    y.setflags(write=False)
-    w.setflags(write=False)
-    return y, w
+    """All nodes y = sinh((pi/2) sinh(t)) and weights of the DE rule at ``level``."""
+    h = _BASE_STEP / 2**level
+    t = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1) * h
+    s = _HALF_PI * np.sinh(t)
+    return _read_only(np.sinh(s), h * np.cosh(t) * _HALF_PI * np.cosh(s))
 
 
 @lru_cache(maxsize=None)
@@ -62,17 +56,14 @@ def _cached_new_nodes_weights(level: int) -> tuple[np.ndarray, np.ndarray]:
 
     Trapezoidal refinement halves the step, so the previous level's sum
     contributes exactly half of itself plus these new terms:
-    I_L = I_{L-1} / 2 + sum_new.
+    I_L = I_{L-1} / 2 + sum_new.  They are the odd-k entries of the level's
+    full grid, copied so that they are contiguous like every other grid.
     """
+    y, w = _cached_nodes_weights(level)
     if level <= 0:
-        return _cached_nodes_weights(0)
-    h = _BASE_STEP / 2**level
-    kmax = int(_T_MAX / h)
-    start = kmax if kmax % 2 else kmax - 1
-    y, w = _de_nodes_weights(np.arange(-start, kmax + 1, 2), h)  # odd k only
-    y.setflags(write=False)
-    w.setflags(write=False)
-    return y, w
+        return y, w
+    first_odd = 1 - (y.size // 2) % 2  # the grid runs over k = -kmax .. kmax
+    return _read_only(y[first_odd::2].copy(), w[first_odd::2].copy())
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,8 @@ def _parse_kv(text: str, allowed) -> dict:
         key = key.strip()
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} (allowed: {', '.join(allowed)})")
+        if key in out:
+            raise ConfigError(f"key {key!r} given twice")
         out[key] = _parse_number(val.strip())
     return out
 
@@ -75,7 +77,7 @@ def _moment_source(args):
     sources = [
         name
         for name in ("xpreset", "homogeneous", "aggregated", "csv")
-        if getattr(args, name.replace("-", "_"), None)
+        if getattr(args, name)
     ]
     if len(sources) != 1:
         raise ConfigError(
@@ -113,12 +115,12 @@ def _moment_source(args):
 
 def _load_options(args) -> LoadOptions:
     return LoadOptions(
-        delimiter=getattr(args, "delimiter", ",") or ",",
-        header=not getattr(args, "no_header", False),
-        missing_tokens=tuple((getattr(args, "missing", None) or "?,,NA,nan").split(",")),
-        drop_columns=tuple(filter(None, (getattr(args, "drop", None) or "").split(","))),
-        missing_strategy=getattr(args, "missing_strategy", "drop_rows"),
-        correlation_threshold=getattr(args, "threshold", 0.99),
+        delimiter=args.delimiter,
+        header=not args.no_header,
+        missing_tokens=tuple((args.missing or "?,,NA,nan").split(",")),
+        drop_columns=tuple(filter(None, (args.drop or "").split(","))),
+        missing_strategy=args.missing_strategy,
+        correlation_threshold=args.threshold,
     )
 
 
@@ -330,6 +332,10 @@ def _cmd_validate(args):
     beta = tuple(float(b) for b in args.beta.split(",")) if args.beta else (0.0,) * (args.p + 1)
     if len(beta) != args.p + 1:
         raise ConfigError(f"--beta needs p+1 = {args.p + 1} entries")
+    if args.p >= 1:
+        moments = x_preset(args.xdist, args.p, args.xdist_param)
+    else:
+        moments = AggregatedMoments(p=0, M2a=0, M2b=0, M1=0)
     config = SimConfig(
         model=model,
         x_dist=args.xdist,
@@ -344,14 +350,10 @@ def _cmd_validate(args):
     )
     est = estimate_risk(config)
     table = build_eta_table(model, tol=args.tol)
-    if args.p >= 1:
-        moments = x_preset(args.xdist, args.p, args.xdist_param)
-    else:
-        moments = AggregatedMoments(p=0, M2a=0, M2b=0, M1=0)
     exp = risk_expansion(table, moments)
     expansion_value = float(exp.evaluate(args.alpha, args.n))
     z = None
-    if expansion_value is not None and est.std_error:
+    if est.std_error:
         z = (est.mean - expansion_value) / est.std_error
     _emit(
         args,

@@ -95,6 +95,8 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
     ``options.missing_tokens``; every other kept token becomes ``float`` of
     its stripped text.
     """
+    if len(options.delimiter) != 1:
+        raise DataError(f"delimiter must be a single character, got {options.delimiter!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=options.delimiter)
         raw = [row for row in reader if row]

@@ -18,15 +18,16 @@ Grammar (see README for the formal statement):
 * the constant ``pi`` and decimal literals;
 * the single free variable ``y``.
 
-Parse errors raise :class:`ExprSyntaxError` carrying 1-based line and column
-numbers.  Compiled expressions evaluate elementwise on numpy arrays.
+Python's own parser reads the text (``^`` spelled ``**``); a whitelist walk
+refuses all else.  Errors raise :class:`ExprSyntaxError` with 1-based line and
+column numbers.  Compiled expressions evaluate elementwise on numpy arrays.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -41,12 +42,6 @@ class ExprSyntaxError(ValueError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
 _FUNCTIONS = {
     "exp": np.exp,
     "log": np.log,
@@ -56,135 +51,69 @@ _FUNCTIONS = {
     "Phi": _sp.ndtr,
 }
 
-_CONSTANTS = {"pi": math.pi}
+# The only names a compiled expression can see: no builtins at all.
+_GLOBALS = {"__builtins__": {}, "pi": math.pi, **_FUNCTIONS}
+
+# Characters outside the grammar, and the Python operators built from its own.
+_REFUSED = re.compile(r"\*\*|//|[^A-Za-z0-9_.+\-*/^()\s]")
+# Blanked out, columns in place: whitespace, an integer's leading zeros (007).
+_BLANKED = re.compile(r"\s|(?<![\w.])0+(?=\d+(?![\w.]))")
+_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+# The operators of the grammar; a BinOp or UnaryOp is checked by its operator.
+_ALLOWED = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub, ast.Load)
+_PREFIX = "lambda y: "
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    line: int
-    column: int
+def _column(src: str, offset: int) -> int:
+    """1-based text column of ``src[offset]``; each ``**`` in ``src`` was one ``^``."""
+    return offset - len(_PREFIX) - src.count("**", 0, offset) + 1
 
 
-def _tokenize(text: str, line: int) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = pos + (len(text[pos:]) - len(stripped)) + 1
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", line, col)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), line, m.start(kind) + 1))
-        pos = m.end()
-    tokens.append(_Token("end", "", line, len(text) + 1))
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser producing a closure over ``y``."""
-
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.next()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.line, tok.column)
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing token {tok.text!r}", tok.line, tok.column)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.term()
-            node = (lambda f, g: (lambda y: f(y) + g(y)))(node, rhs) if op == "+" else (
-                lambda f, g: (lambda y: f(y) - g(y))
-            )(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            rhs = self.unary()
-            node = (lambda f, g: (lambda y: f(y) * g(y)))(node, rhs) if op == "*" else (
-                lambda f, g: (lambda y: f(y) / g(y))
-            )(node, rhs)
-        return node
-
-    def unary(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            inner = self.unary()
-            return lambda y: -inner(y)
-        if tok.kind == "op" and tok.text == "+":
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.next()
-            # right-associative; exponent may itself carry a unary sign
-            exponent = self.unary()
-            return lambda y: base(y) ** exponent(y)
-        return base
-
-    def atom(self):
-        tok = self.next()
-        if tok.kind == "num":
-            value = float(tok.text)
-            return lambda y: value
-        if tok.kind == "name":
-            if tok.text == "y":
-                return lambda y: y
-            if tok.text in _CONSTANTS:
-                value = _CONSTANTS[tok.text]
-                return lambda y: value
-            if tok.text in _FUNCTIONS:
-                fn = _FUNCTIONS[tok.text]
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return lambda y: fn(arg(y))
-            raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.line, tok.column)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(
-            "expected a number, name or parenthesised expression" if tok.kind != "end" else "unexpected end of expression",
-            tok.line,
-            tok.column,
-        )
+def _check(body: ast.expr, src: str, line: int) -> None:
+    """Refuse every node outside the grammar; make each literal a float."""
+    callees = set()
+    for node in ast.walk(body):  # breadth first: a call is seen before its callee
+        error = None
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None)
+            if name in _FUNCTIONS and len(node.args) != 1:
+                error = f"{name}() takes exactly one argument"
+            elif name is None or name in ("y", "pi"):
+                error = "only exp, log, sqrt, erf, phi and Phi can be called"
+            callees.add(node.func)
+        elif isinstance(node, ast.Name):
+            if node.id not in _FUNCTIONS and node.id not in ("y", "pi"):
+                error = f"unknown name {node.id!r}"
+            elif node.id in _FUNCTIONS and node not in callees:
+                error = f"function {node.id!r} must be called with one argument"
+        elif isinstance(node, ast.Constant):
+            literal = src[node.col_offset : node.end_col_offset]
+            if _NUMBER.fullmatch(literal):
+                node.value = float(literal)
+            else:
+                error = f"unsupported literal {literal!r}"
+        elif not isinstance(getattr(node, "op", node), _ALLOWED):
+            segment = src[node.col_offset : node.end_col_offset].replace("**", "^")
+            error = f"unsupported syntax {segment!r}"
+        if error:
+            raise ExprSyntaxError(error, line, _column(src, node.col_offset))
 
 
 def compile_expression(text: str, line: int = 1):
     """Compile one expression into a callable of ``y`` (scalar or array)."""
-    return _Parser(_tokenize(text, line)).parse()
+    if refused := _REFUSED.search(text):
+        raise ExprSyntaxError(f"unexpected {refused.group()!r}", line, refused.start() + 1)
+    src = _PREFIX + _BLANKED.sub(lambda m: " " * len(m.group()), text).replace("^", "**")
+    try:
+        tree = ast.parse(src, mode="eval")
+        _check(tree.body.body, src, line)
+        return eval(compile(tree, "<expression>", "eval"), dict(_GLOBALS))
+    except SyntaxError as exc:
+        if (exc.offset or 0) <= len(_PREFIX):  # no position in the text: it ran out
+            raise ExprSyntaxError("unexpected end of expression", line, len(text) + 1) from None
+        raise ExprSyntaxError(exc.msg, line, _column(src, exc.offset - 1)) from None
+    except (RecursionError, MemoryError):  # the parser's and compiler's depth limits
+        raise ExprSyntaxError("expression too long or nested too deeply", line, 1) from None
 
 
 _REQUIRED_KEYS = ("logf", "d1", "d2", "d3")
@@ -194,13 +123,13 @@ def parse_density_file(text: str) -> dict:
     """Parse a density declaration into callables keyed by logf/d1/d2/d3."""
     seen: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        code = raw.split("#", 1)[0]
+        if not code.strip():
             continue
-        if "=" not in stripped:
+        if "=" not in code:
             raise ExprSyntaxError("expected '<name> = <expression>'", lineno, 1)
-        key, rhs = stripped.split("=", 1)
-        key = key.strip()
+        eq = code.index("=")
+        key = code[:eq].strip()
         if key not in _REQUIRED_KEYS:
             raise ExprSyntaxError(
                 f"unknown declaration {key!r} (expected one of {', '.join(_REQUIRED_KEYS)})",
@@ -209,7 +138,8 @@ def parse_density_file(text: str) -> dict:
             )
         if key in seen:
             raise ExprSyntaxError(f"duplicate declaration of {key!r}", lineno, 1)
-        seen[key] = compile_expression(rhs, lineno)
+        # the key blanked out, error columns count from the start of the line
+        seen[key] = compile_expression(" " * (eq + 1) + code[eq + 1 :], lineno)
     missing = [k for k in _REQUIRED_KEYS if k not in seen]
     if missing:
         raise ValueError(f"density file is missing declarations: {', '.join(missing)}")

@@ -122,6 +122,8 @@ def _pareto_moments(b: Fraction) -> tuple[Fraction, Fraction]:
 def x_preset(name: str, p: int, param=None) -> HomogeneousMoments:
     """Homogeneous moment summary for one of the reference x distributions."""
     name = name.lower()
+    if name in ("normal", "controlled") and param is not None:
+        raise ValueError(f"{name!r} x preset takes no parameter, got {param!r}")
     if name == "normal":
         return HomogeneousMoments(p=p, m4=Fraction(3), m22=Fraction(1))
     if name == "t":

@@ -195,3 +195,50 @@ def test_empty_or_endless_k_range_is_config_error(argv, name):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert name in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "logf",
+    ["(" * 400 + "-y^2/2" + ")" * 400, "-y^2/2" + " + 0*y" * 1500],
+    ids=["400-nested-parentheses", "1500-terms"],
+)
+@pytest.mark.parametrize(
+    "argv", [["risk", "--xpreset", "normal", "--p", "3"], ["eta", "dump"]], ids=["risk", "eta"]
+)
+def test_pathological_custom_density_is_config_error(tmp_path, logf, argv):
+    path = tmp_path / "density.txt"
+    path.write_text(f"logf = {logf}\nd1 = -y\nd2 = -1\nd3 = 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlerisk.cli", *argv, "--error", f"custom:{path}"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    error = json.loads(proc.stderr)
+    assert error["kind"] == "config"
+    assert "line 1" in error["error"]
+
+
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_delimiter_must_be_one_character(tmp_path, capsys, delimiter):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,2\n3,5\n4,4\n")
+    code, out, err = run_cli(capsys, "moments", str(path), "--delimiter", delimiter)
+    assert code == 2
+    assert out == ""
+    assert "delimiter" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "source,name",
+    [
+        (["--xpreset", "normal:5"], "normal"),
+        (["--xpreset", "controlled:7"], "controlled"),
+        (["--aggregated", "M2a=1,M2a=0,M2b=0,M1=4"], "M2a"),
+        (["--homogeneous", "m4=3,m22=1,m4=2"], "m4"),
+    ],
+)
+def test_moment_source_input_is_not_dropped(capsys, source, name):
+    code, out, err = run_cli(capsys, "risk", "--error", "normal", "--p", "2", *source)
+    assert code == 2
+    assert out == ""
+    assert name in json.loads(err)["error"]

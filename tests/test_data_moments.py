@@ -46,6 +46,13 @@ def test_load_csv_explicit_column_drop_and_delimiter(tmp_path):
     assert ds.column_names == ("a", "c")
 
 
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_load_csv_delimiter_must_be_one_character(tmp_path, delimiter):
+    path = _write(tmp_path, "a,b\n1,2\n3,5\n4,4\n")
+    with pytest.raises(DataError, match="delimiter must be a single character"):
+        load_csv(path, LoadOptions(delimiter=delimiter))
+
+
 def test_load_csv_ragged_line_reports_number(tmp_path):
     path = _write(tmp_path, "a,b\n1,2\n3\n")
     with pytest.raises(DataError, match="line 3"):

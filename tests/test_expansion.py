@@ -161,6 +161,12 @@ def test_to_aggregated_normal_preset():
     assert (agg.M2a, agg.M2b, agg.M1) == (0, 0, 120)
 
 
+@pytest.mark.parametrize("name", ["normal", "controlled"])
+def test_parameterless_preset_refuses_a_parameter(name):
+    with pytest.raises(ValueError, match=f"'{name}' x preset takes no parameter"):
+        x_preset(name, 3, "5")
+
+
 def test_to_aggregated_zero_moments():
     agg = to_aggregated(HomogeneousMoments(p=7, m4=F(1), m22=F(0)))
     assert (agg.M2a, agg.M2b, agg.M1) == (0, 0, 7)

@@ -1,4 +1,7 @@
 import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,23 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_perfbench_tracer_targets_resolve(monkeypatch):
+    """Every (module, attribute) the benchmark's tracer patches must exist.
+
+    ``perfbench/tracing.py`` imports only the standard library, so it loads by
+    path; a renamed or removed target would break every traced benchmark run.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in tracing.TARGETS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert tracing.TARGETS
+    assert missing == []
