@@ -9,18 +9,13 @@ derivatives as expressions in the variable ``y``::
     d2   = -1
     d3   = 0
 
-Grammar (see README for the formal statement):
-
-* binary operators ``+ - * / ^`` (``^`` is right-associative power),
-  unary minus, parentheses;
-* functions ``exp``, ``log``, ``sqrt``, ``erf``, ``phi`` (standard normal
-  pdf), ``Phi`` (standard normal cdf);
-* the constant ``pi`` and decimal literals;
-* the single free variable ``y``.
-
-Python's own parser reads the text (``^`` spelled ``**``); a whitelist walk
-refuses all else.  Errors raise :class:`ExprSyntaxError` with 1-based line and
-column numbers.  Compiled expressions evaluate elementwise on numpy arrays.
+The grammar (README, "Custom error densities") has ``+ - * / ^`` (``^`` is
+right-associative power), unary signs, parentheses, the one-argument
+functions ``exp``, ``log``, ``sqrt``, ``erf``, ``phi`` and ``Phi`` (standard
+normal pdf and cdf), the constant ``pi``, decimal literals and the variable
+``y``.  Python's own parser reads the text (``^`` spelled ``**``); a whitelist
+walk refuses all else.  Errors raise :class:`ExprSyntaxError` with 1-based
+line and column; compiled expressions work elementwise on numpy arrays.
 """
 
 from __future__ import annotations
@@ -54,11 +49,11 @@ _FUNCTIONS = {
 # The only names a compiled expression can see: no builtins at all.
 _GLOBALS = {"__builtins__": {}, "pi": math.pi, **_FUNCTIONS}
 
-# Characters outside the grammar, and the Python operators built from its own.
-_REFUSED = re.compile(r"\*\*|//|[^A-Za-z0-9_.+\-*/^()\s]")
-# Blanked out, columns in place: whitespace, an integer's leading zeros (007).
-_BLANKED = re.compile(r"\s|(?<![\w.])0+(?=\d+(?![\w.]))")
+# Characters outside the grammar, and ``**``, which would read as ``^``.
+_REFUSED = re.compile(r"\*\*|[^A-Za-z0-9_.+\-*/^()\s]")
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+# A literal's leading zeros (007, 00.5), which Python refuses and the grammar does not.
+_LEADING_ZEROS = re.compile(r"^0+(?=\d)")
 # The operators of the grammar; a BinOp or UnaryOp is checked by its operator.
 _ALLOWED = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub, ast.Load)
 _PREFIX = "lambda y: "
@@ -71,8 +66,7 @@ def _column(src: str, offset: int) -> int:
 
 def _check(body: ast.expr, src: str, line: int) -> None:
     """Refuse every node outside the grammar; make each literal a float."""
-    callees = set()
-    for node in ast.walk(body):  # breadth first: a call is seen before its callee
+    for node in ast.walk(body):
         error = None
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None)
@@ -80,12 +74,12 @@ def _check(body: ast.expr, src: str, line: int) -> None:
                 error = f"{name}() takes exactly one argument"
             elif name is None or name in ("y", "pi"):
                 error = "only exp, log, sqrt, erf, phi and Phi can be called"
-            callees.add(node.func)
         elif isinstance(node, ast.Name):
             if node.id not in _FUNCTIONS and node.id not in ("y", "pi"):
                 error = f"unknown name {node.id!r}"
-            elif node.id in _FUNCTIONS and node not in callees:
-                error = f"function {node.id!r} must be called with one argument"
+            # a name followed by '(' is a callee; (exp)(y) has ')' there
+            elif node.id in _FUNCTIONS and src[node.end_col_offset :].lstrip()[:1] != "(":
+                error = f"expected '(' after {node.id!r}"
         elif isinstance(node, ast.Constant):
             literal = src[node.col_offset : node.end_col_offset]
             if _NUMBER.fullmatch(literal):
@@ -103,7 +97,10 @@ def compile_expression(text: str, line: int = 1):
     """Compile one expression into a callable of ``y`` (scalar or array)."""
     if refused := _REFUSED.search(text):
         raise ExprSyntaxError(f"unexpected {refused.group()!r}", line, refused.start() + 1)
-    src = _PREFIX + _BLANKED.sub(lambda m: " " * len(m.group()), text).replace("^", "**")
+    # whitespace and a literal's leading zeros blanked, so columns stay in place
+    text = re.sub(r"\s", " ", text)
+    text = _NUMBER.sub(lambda m: _LEADING_ZEROS.sub(lambda z: " " * z.end(), m.group()), text)
+    src = _PREFIX + text.replace("^", "**")
     try:
         tree = ast.parse(src, mode="eval")
         _check(tree.body.body, src, line)

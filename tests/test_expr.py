@@ -47,6 +47,11 @@ ACCEPTED = [
     "1.5e3*y",
     "1e999*0+y",
     "007*y - 00.5 + 007e1 + 1e07",
+    "1e-07",
+    "2.5E+05",
+    "1e-00",
+    "-3.2e-010*y",
+    "007.5e-03*y + 00e0 + 0.0070",
     "1e999",
     "-1e999",
     "pi",
@@ -109,6 +114,8 @@ REFUSED = [
     "()",
     "(y)(y)",
     "exp(y)(y)",
+    "(exp)(y)",
+    "((log))(1+y)",
     "y % 2",
     "y < 1",
     "y == y",
