@@ -26,12 +26,12 @@ from fractions import Fraction
 
 from ._quadrature import QuadratureError
 from .benchmarks import coin_equivalent, ide, rss
-from .data_moments import DataError, LoadOptions, load_csv, sample_aggregates, standardize
+from .data_moments import LoadOptions, load_csv, sample_aggregates, standardize
 from .error_models import error_model_from_spec
 from .eta import EtaTableError, build_eta_table
-from .expansion import SingularInformationError, evaluate_risk, risk_expansion
+from .expansion import evaluate_risk, risk_expansion
 from .mc import SimConfig, estimate_risk
-from .moments import AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
+from .moments import X_PRESET_NAMES, AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
 
 __all__ = ["main"]
 
@@ -114,13 +114,16 @@ def _moment_source(args):
 
 
 def _load_options(args) -> LoadOptions:
+    missing = {}  # without --missing, the LoadOptions default holds
+    if args.missing is not None:  # '' asks for no missing tokens at all
+        missing["missing_tokens"] = tuple(args.missing.split(",")) if args.missing else ()
     return LoadOptions(
         delimiter=args.delimiter,
         header=not args.no_header,
-        missing_tokens=tuple((args.missing or "?,,NA,nan").split(",")),
         drop_columns=tuple(filter(None, (args.drop or "").split(","))),
         missing_strategy=args.missing_strategy,
         correlation_threshold=args.threshold,
+        **missing,
     )
 
 
@@ -167,7 +170,11 @@ def _add_model_and_moments(sub):
 def _add_csv_options(sub):
     sub.add_argument("--delimiter", default=",")
     sub.add_argument("--no-header", action="store_true")
-    sub.add_argument("--missing", help="comma-separated missing tokens (default '?,,NA,nan')")
+    sub.add_argument(
+        "--missing",
+        help="comma-separated missing tokens, '' for none "
+        f"(default {','.join(LoadOptions().missing_tokens)!r})",
+    )
     sub.add_argument("--drop", help="comma-separated column names to drop")
     sub.add_argument(
         "--missing-strategy",
@@ -220,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("validate", parents=[common], help="Monte-Carlo risk vs. expansion")
     sp.add_argument("--error", required=True)
-    sp.add_argument("--xdist", required=True, choices=("normal", "t", "controlled", "pareto"))
+    sp.add_argument("--xdist", required=True, choices=X_PRESET_NAMES)
     sp.add_argument("--xdist-param", type=float)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
@@ -404,7 +411,7 @@ def _cmd_table(args):
     if args.preset in _TABLE_ERRORS:
         model = error_model_from_spec(_TABLE_ERRORS[args.preset])
         table = build_eta_table(model, tol=args.tol)
-        for preset in ("normal", "t", "controlled", "pareto"):
+        for preset in X_PRESET_NAMES:
             exp = risk_expansion(table, x_preset(preset, 10))
             r = rss(exp, alpha)
             d = ide(exp, alpha)
@@ -459,16 +466,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except (ConfigError, DataError, ValueError) as exc:
+    except ValueError as exc:
         json.dump({"error": str(exc), "kind": "config"}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except (
-        ArithmeticError,
-        EtaTableError,
-        QuadratureError,
-        SingularInformationError,
-    ) as exc:
+    except (ArithmeticError, EtaTableError, QuadratureError) as exc:
         json.dump({"error": str(exc), "kind": "numeric"}, sys.stderr)
         sys.stderr.write("\n")
         return 3

@@ -120,6 +120,9 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
     if options.missing_strategy not in ("drop_rows", "drop_columns"):
         raise DataError(f"unknown missing_strategy {options.missing_strategy!r}")
 
+    unknown = [name for name in options.drop_columns if name not in names]
+    if unknown:
+        raise DataError(f"{path}: no column named {', '.join(map(repr, unknown))} to drop")
     keep = [i for i, name in enumerate(names) if name not in set(options.drop_columns)]
     dropped = [names[i] for i in range(width) if i not in keep]
     missing = set(options.missing_tokens)

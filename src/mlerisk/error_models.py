@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -46,60 +47,26 @@ class ModelKind(enum.Enum):
     CUSTOM = "custom"
 
 
-class DensityEvaluationError(ValueError):
-    """A density or log-derivative returned a non-finite value."""
-
-
 @dataclass(frozen=True)
 class ErrorModel:
     """An error distribution supported on the whole real line.
 
-    ``log_deriv1/2/3`` are d/dy, d^2/dy^2, d^3/dy^3 of log f.  ``param`` holds
-    the family parameter (nu for Student t, b for skew-normal), kept as an
-    exact :class:`~fractions.Fraction` when one was supplied so downstream
-    closed forms can stay rational.
+    The five callables take a float array ``y`` and return a float array of
+    the same shape: the density, its log, and ``log_deriv1/2/3`` = d/dy,
+    d^2/dy^2, d^3/dy^3 of log f.  ``param`` holds the family parameter (nu
+    for Student t, b for skew-normal), kept as an exact
+    :class:`~fractions.Fraction` when one was supplied so downstream closed
+    forms can stay rational.
     """
 
     kind: ModelKind
     pdf: Callable
+    log_pdf: Callable
     log_deriv1: Callable
     log_deriv2: Callable
     log_deriv3: Callable
     param: object = None
     label: str = ""
-    logpdf: Callable = None  # optional; falls back to log(pdf)
-
-    def log_pdf(self, y):
-        if self.logpdf is not None:
-            return self.logpdf(y)
-        return np.log(self.pdf(y))
-
-    def log_deriv(self, order: int, y):
-        """Evaluate the order-th derivative of log f (order in {1, 2, 3})."""
-        if order == 1:
-            fn = self.log_deriv1
-        elif order == 2:
-            fn = self.log_deriv2
-        elif order == 3:
-            fn = self.log_deriv3
-        else:
-            raise ValueError(f"order must be 1, 2 or 3, got {order}")
-        out = fn(y)
-        if np.isscalar(y) or np.ndim(y) == 0:
-            out = float(out)
-            if not math.isfinite(out):
-                raise DensityEvaluationError(
-                    f"log-derivative of order {order} is non-finite at y={float(y)!r}"
-                )
-        return out
-
-    def pdf_eval(self, y):
-        out = self.pdf(y)
-        if np.isscalar(y) or np.ndim(y) == 0:
-            out = float(out)
-            if not math.isfinite(out):
-                raise DensityEvaluationError(f"density is non-finite at y={float(y)!r}")
-        return out
 
     def __repr__(self):  # keep dataclass noise out of error messages
         return f"ErrorModel({self.label or self.kind.value})"
@@ -112,19 +79,18 @@ def _mills_ratio_inverse(u):
     exp(-u^2/2) gives phi/Phi = sqrt(2/pi) / erfcx(-u/sqrt(2)), which is
     accurate for all u (erfcx is the scaled complementary error function).
     """
-    u = np.asarray(u, dtype=float)
     return math.sqrt(2.0 / math.pi) / _sp.erfcx(-u / math.sqrt(2.0))
 
 
 def normal_error() -> ErrorModel:
     return ErrorModel(
         kind=ModelKind.NORMAL,
-        pdf=lambda y: np.exp(-0.5 * np.asarray(y, dtype=float) ** 2) / _SQRT_2PI,
-        log_deriv1=lambda y: -np.asarray(y, dtype=float),
-        log_deriv2=lambda y: np.full_like(np.asarray(y, dtype=float), -1.0),
-        log_deriv3=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+        pdf=lambda y: np.exp(-0.5 * y**2) / _SQRT_2PI,
+        log_pdf=lambda y: -0.5 * y**2 - math.log(_SQRT_2PI),
+        log_deriv1=lambda y: -y,
+        log_deriv2=lambda y: np.full_like(y, -1.0),
+        log_deriv3=lambda y: np.zeros_like(y),
         label="normal",
-        logpdf=lambda y: -0.5 * np.asarray(y, dtype=float) ** 2 - math.log(_SQRT_2PI),
     )
 
 
@@ -138,36 +104,15 @@ def student_t_error(nu) -> ErrorModel:
         math.lgamma((nu_f + 1) / 2) - math.lgamma(nu_f / 2) - 0.5 * math.log(math.pi * nu_f)
     )
     c = math.exp(log_c)
-
-    def pdf(y):
-        y = np.asarray(y, dtype=float)
-        return c * (1.0 + y * y / nu_f) ** (-(nu_f + 1) / 2)
-
-    def logpdf(y):
-        y = np.asarray(y, dtype=float)
-        return log_c - (nu_f + 1) / 2 * np.log1p(y * y / nu_f)
-
-    def d1(y):
-        y = np.asarray(y, dtype=float)
-        return -(nu_f + 1) * y / (nu_f + y * y)
-
-    def d2(y):
-        y = np.asarray(y, dtype=float)
-        return (nu_f + 1) * (y * y - nu_f) / (nu_f + y * y) ** 2
-
-    def d3(y):
-        y = np.asarray(y, dtype=float)
-        return 2 * (nu_f + 1) * y * (3 * nu_f - y * y) / (nu_f + y * y) ** 3
-
     return ErrorModel(
         kind=ModelKind.STUDENT_T,
-        pdf=pdf,
-        log_deriv1=d1,
-        log_deriv2=d2,
-        log_deriv3=d3,
+        pdf=lambda y: c * (1.0 + y * y / nu_f) ** (-(nu_f + 1) / 2),
+        log_pdf=lambda y: log_c - (nu_f + 1) / 2 * np.log1p(y * y / nu_f),
+        log_deriv1=lambda y: -(nu_f + 1) * y / (nu_f + y * y),
+        log_deriv2=lambda y: (nu_f + 1) * (y * y - nu_f) / (nu_f + y * y) ** 2,
+        log_deriv3=lambda y: 2 * (nu_f + 1) * y * (3 * nu_f - y * y) / (nu_f + y * y) ** 3,
         param=nu_exact,
         label=f"t({nu})",
-        logpdf=logpdf,
     )
 
 
@@ -175,44 +120,32 @@ def skew_normal_error(b: float) -> ErrorModel:
     """Skew-normal with shape b: f(y) = 2 phi(y) Phi(b y)."""
     b = float(b)
 
-    def pdf(y):
-        y = np.asarray(y, dtype=float)
-        return 2.0 * np.exp(-0.5 * y * y) / _SQRT_2PI * _sp.ndtr(b * y)
-
-    def logpdf(y):
-        y = np.asarray(y, dtype=float)
-        return math.log(2.0) - 0.5 * y * y - math.log(_SQRT_2PI) + _sp.log_ndtr(b * y)
-
-    def d1(y):
-        y = np.asarray(y, dtype=float)
-        return -y + b * _mills_ratio_inverse(b * y)
-
     def d2(y):
-        y = np.asarray(y, dtype=float)
         r = _mills_ratio_inverse(b * y)
         return -1.0 - b**3 * y * r - b**2 * r * r
 
     def d3(y):
-        y = np.asarray(y, dtype=float)
         r = _mills_ratio_inverse(b * y)
         return b**3 * (2.0 * r**3 + 3.0 * b * y * r * r + (b * b * y * y - 1.0) * r)
 
     return ErrorModel(
         kind=ModelKind.SKEW_NORMAL,
-        pdf=pdf,
-        log_deriv1=d1,
+        pdf=lambda y: 2.0 * np.exp(-0.5 * y * y) / _SQRT_2PI * _sp.ndtr(b * y),
+        log_pdf=lambda y: (
+            math.log(2.0) - 0.5 * y * y - math.log(_SQRT_2PI) + _sp.log_ndtr(b * y)
+        ),
+        log_deriv1=lambda y: -y + b * _mills_ratio_inverse(b * y),
         log_deriv2=d2,
         log_deriv3=d3,
         param=b,
         label=f"skew-normal({b})",
-        logpdf=logpdf,
     )
 
 
 def _validate_custom(model: ErrorModel) -> None:
     """Positivity, normalisation and finite-difference consistency checks."""
     probes = np.linspace(-8.0, 8.0, 33)
-    dens = np.asarray(model.pdf(probes), dtype=float)
+    dens = model.pdf(probes)
     if not np.all(np.isfinite(dens)) or np.any(dens <= 0.0):
         bad = probes[~(np.isfinite(dens) & (dens > 0.0))][0]
         raise ValueError(
@@ -236,17 +169,11 @@ def _validate_custom(model: ErrorModel) -> None:
     logf = lambda y: np.log(model.pdf(y))
     fd1 = (logf(pts + h) - logf(pts - h)) / (2 * h)
     fd2 = (logf(pts + h) - 2 * logf(pts) + logf(pts - h)) / h**2
-    d1 = np.asarray(model.log_deriv1(pts), dtype=float)
-    d2 = np.asarray(model.log_deriv2(pts), dtype=float)
-    d3 = np.asarray(model.log_deriv3(pts), dtype=float)
-    fd3 = (
-        np.asarray(model.log_deriv2(pts + h), dtype=float)
-        - np.asarray(model.log_deriv2(pts - h), dtype=float)
-    ) / (2 * h)
+    fd3 = (model.log_deriv2(pts + h) - model.log_deriv2(pts - h)) / (2 * h)
     for name, got, want, tol in (
-        ("d1", d1, fd1, 1e-6),
-        ("d2", d2, fd2, 1e-3),
-        ("d3", d3, fd3, 1e-4),
+        ("d1", model.log_deriv1(pts), fd1, 1e-6),
+        ("d2", model.log_deriv2(pts), fd2, 1e-3),
+        ("d3", model.log_deriv3(pts), fd3, 1e-4),
     ):
         scale = np.maximum(1.0, np.abs(want))
         err = np.max(np.abs(got - want) / scale)
@@ -257,17 +184,21 @@ def _validate_custom(model: ErrorModel) -> None:
             )
 
 
-def _quiet(fn):
-    """``fn`` with numpy's overflow and divide-by-zero warnings off.
+def _field(fn, quiet=False):
+    """``fn`` returning a float array shaped like ``y``.
 
-    A declared log-density may reach -inf (log of an underflowed factor) or
-    exp to +inf far in a tail; the quadrature masks such values and
-    validation rejects a density whose mass they make infinite.
+    A declaration that does not mention ``y`` (``d2 = -1``) evaluates to a
+    constant, which is broadcast to the shape of ``y``.  ``quiet`` turns
+    numpy's overflow and divide-by-zero warnings off: a declared log-density
+    may reach -inf (log of an underflowed factor) or exp to +inf far in a
+    tail; the quadrature masks such values and validation rejects a density
+    whose mass they make infinite.
     """
 
     def evaluate(y):
-        with np.errstate(over="ignore", divide="ignore"):
-            return fn(y)
+        with np.errstate(over="ignore", divide="ignore") if quiet else nullcontext():
+            out = np.asarray(fn(y), dtype=float)
+        return out if out.shape == np.shape(y) else np.full(np.shape(y), out)
 
     return evaluate
 
@@ -278,11 +209,11 @@ def custom_error(text: str, label: str = "custom") -> ErrorModel:
     logf = decls["logf"]
     model = ErrorModel(
         kind=ModelKind.CUSTOM,
-        pdf=_quiet(lambda y: np.exp(logf(np.asarray(y, dtype=float)))),
-        logpdf=_quiet(lambda y: logf(np.asarray(y, dtype=float))),
-        log_deriv1=lambda y: np.asarray(decls["d1"](np.asarray(y, dtype=float)), dtype=float),
-        log_deriv2=lambda y: np.asarray(decls["d2"](np.asarray(y, dtype=float)), dtype=float),
-        log_deriv3=lambda y: np.asarray(decls["d3"](np.asarray(y, dtype=float)), dtype=float),
+        pdf=_field(lambda y: np.exp(logf(y)), quiet=True),
+        log_pdf=_field(logf, quiet=True),
+        log_deriv1=_field(decls["d1"]),
+        log_deriv2=_field(decls["d2"]),
+        log_deriv3=_field(decls["d3"]),
         label=label,
     )
     _validate_custom(model)

@@ -280,7 +280,7 @@ def eta_quadrature(
     _check_indices(i, j, k, l)
 
     def integrand(y):
-        f = np.asarray(model.pdf(y), dtype=float)
+        f = model.pdf(y)
         out = np.zeros_like(f)
         mask = f > 0.0
         if not mask.any():
@@ -288,11 +288,11 @@ def eta_quadrature(
         ym = y[mask]
         g = f[mask]
         if i:
-            g = g * np.asarray(model.log_deriv3(ym), dtype=float) ** i
+            g = g * model.log_deriv3(ym) ** i
         if j:
-            g = g * np.asarray(model.log_deriv2(ym), dtype=float) ** j
+            g = g * model.log_deriv2(ym) ** j
         if k:
-            g = g * np.asarray(model.log_deriv1(ym), dtype=float) ** k
+            g = g * model.log_deriv1(ym) ** k
         if l:
             g = g * ym**l
         out[mask] = g

@@ -29,6 +29,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from ._quadrature import _cached_new_nodes_weights, _cached_nodes_weights, integrate_real_line
 from .error_models import ErrorModel, ModelKind
+from .moments import X_PRESET_NAMES
 
 __all__ = [
     "SimConfig",
@@ -41,9 +42,6 @@ __all__ = [
     "divergence",
     "estimate_risk",
 ]
-
-X_DISTS = ("normal", "t", "controlled", "pareto")
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -59,8 +57,8 @@ class SimConfig:
     divergence_sample: int = 10_000
 
     def __post_init__(self):
-        if self.x_dist not in X_DISTS:
-            raise ValueError(f"x_dist must be one of {X_DISTS}")
+        if self.x_dist not in X_PRESET_NAMES:
+            raise ValueError(f"x_dist must be one of {X_PRESET_NAMES}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.replications < 1:
@@ -164,7 +162,7 @@ def _loglik_and_score(theta, y, xt, model):
     sigma = math.exp(log_sigma)
     u = (y - xt @ theta[:-1]) / sigma
     ll = float(np.sum(model.log_pdf(u))) - y.size * log_sigma
-    d1 = np.asarray(model.log_deriv1(u), dtype=float)
+    d1 = model.log_deriv1(u)
     score = np.append(-(xt.T @ d1) / sigma, -float(np.sum(1.0 + d1 * u)))
     return ll, score, u, d1
 
@@ -172,7 +170,7 @@ def _loglik_and_score(theta, y, xt, model):
 def _neg_hessian(theta, xt, u, d1, model):
     """Minus the log-likelihood Hessian in (beta, log sigma), closed form."""
     sigma = math.exp(theta[-1])
-    d2 = np.asarray(model.log_deriv2(u), dtype=float)
+    d2 = model.log_deriv2(u)
     k = theta.size
     a = np.empty((k, k))
     a[:-1, :-1] = -(xt.T @ (d2[:, None] * xt)) / (sigma * sigma)
@@ -264,11 +262,7 @@ def _neg_entropy(model: ErrorModel) -> float:
     if hit is not None:
         return hit
     res = integrate_real_line(
-        lambda y: np.where(
-            (f := np.asarray(model.pdf(y), dtype=float)) > 0.0,
-            f * np.asarray(model.log_pdf(np.asarray(y, dtype=float)), dtype=float),
-            0.0,
-        ),
+        lambda y: np.where((f := model.pdf(y)) > 0.0, f * model.log_pdf(y), 0.0),
         tol=1e-12,
     )
     _NEG_ENTROPY_CACHE[model] = res.value
@@ -327,12 +321,12 @@ def _divergence_profile(model, deltas, s1, s2, alpha, tol=1e-9):
             const = math.log(s1 / s2)
 
         def row_sum(u, w):
-            fw = np.asarray(model.pdf(u), dtype=float) * w
+            fw = model.pdf(u) * w
             keep = np.abs(fw) > 1e-18  # dropped mass * |log f| is << tol
             if not keep.any():
                 return np.zeros(m)
             v = (u[keep][None, :] * base_scale + shift_sign * deltas[:, None]) / other_scale
-            lg = np.asarray(model.log_pdf(v), dtype=float)
+            lg = model.log_pdf(v)
             lg[~np.isfinite(lg)] = 0.0  # underflowed tail of the other density
             return lg @ fw[keep]
 
@@ -344,7 +338,7 @@ def _divergence_profile(model, deltas, s1, s2, alpha, tol=1e-9):
     half_hi = (1.0 + alpha) / 2.0
 
     def row_sum(u, w):
-        lf = np.asarray(model.log_pdf(u), dtype=float)
+        lf = model.log_pdf(u)
         # A negative exponent overflows to inf in the far tails; such columns
         # are dropped, and such values of the other factor zeroed, below.
         with np.errstate(over="ignore"):
@@ -359,7 +353,7 @@ def _divergence_profile(model, deltas, s1, s2, alpha, tol=1e-9):
             return np.zeros(m)
         v = (u[keep][None, :] * s1 + deltas[:, None]) / s2
         with np.errstate(over="ignore"):
-            g = np.exp(half_hi * np.asarray(model.log_pdf(v), dtype=float))
+            g = np.exp(half_hi * model.log_pdf(v))
         g[~np.isfinite(g)] = 0.0
         return g @ base[keep]
 

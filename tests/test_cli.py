@@ -242,3 +242,27 @@ def test_moment_source_input_is_not_dropped(capsys, source, name):
     assert code == 2
     assert out == ""
     assert name in json.loads(err)["error"]
+
+
+def test_missing_tokens_default_and_explicit_empty(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("a,b\n1,2\n3,?\n4,4\n2,7\n5,1\n")
+    code, out, _ = run_cli(capsys, "moments", str(path))
+    assert code == 0
+    assert json.loads(out)["dropped_rows"] == 1
+    # an explicit empty list asks for no missing tokens: '?' is then a bad value
+    code, out, err = run_cli(capsys, "moments", str(path), "--missing", "")
+    assert code == 2
+    assert out == ""
+    assert "non-numeric value '?'" in json.loads(err)["error"]
+
+
+def test_unknown_drop_column_is_config_error(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,c\n1,2,0\n3,5,1\n4,4,0\n2,7,2\n5,1,1\n")
+    code, out, err = run_cli(capsys, "moments", str(path), "--drop", "b,nosuch")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["kind"] == "config"
+    assert "'nosuch'" in error["error"] and "'b'" not in error["error"]

@@ -46,6 +46,12 @@ def test_load_csv_explicit_column_drop_and_delimiter(tmp_path):
     assert ds.column_names == ("a", "c")
 
 
+def test_load_csv_unknown_drop_column_is_refused(tmp_path):
+    path = _write(tmp_path, "a,b,c\n1,2,3\n4,5,6\n7,8,10\n9,1,2\n")
+    with pytest.raises(DataError, match=r"no column named 'nosuch', 'B' to drop"):
+        load_csv(path, LoadOptions(drop_columns=("b", "nosuch", "B")))
+
+
 @pytest.mark.parametrize("delimiter", [";;", ""])
 def test_load_csv_delimiter_must_be_one_character(tmp_path, delimiter):
     path = _write(tmp_path, "a,b\n1,2\n3,5\n4,4\n")
