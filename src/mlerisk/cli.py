@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -465,6 +466,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        alpha = getattr(args, "alpha", None)
+        if alpha is not None and not -math.inf < alpha < math.inf:
+            raise ConfigError(f"--alpha must be finite, got {alpha}")
         _COMMANDS[args.command](args)
     except ValueError as exc:
         json.dump({"error": str(exc), "kind": "config"}, sys.stderr)

@@ -22,12 +22,14 @@ two of the inner products follow the listing.  Reading p+2 there instead
 cancels in qa and qb and lowers qc by exactly 1, so that reading is reported
 as the constant shift ``q_full_param_count = [qa, qb, qc - 1]``.
 
-Everything here is pure and immutable; expansions can be evaluated
-concurrently over parameter sweeps.
+Everything here is pure apart from the kernel a table keeps after its first
+expansion (concurrent first calls compute the same kernel), so expansions can
+be evaluated concurrently over parameter sweeps.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .eta import EtaTable, EtaEntry
-from .moments import to_aggregated
+from .moments import AggregatedMoments, to_aggregated
 
 __all__ = [
     "MetricBlock",
@@ -230,7 +232,10 @@ def l_terms(table: EtaTable, moments) -> LTerms:
     p = agg.p
     M2a, M2b, M1 = agg.M2a, agg.M2b, agg.M1
     w = 1 / g.eta0020
-    P = [(a, b, g.tg(a, b)) for a in _S for b in _S]  # (a, b, g^ab), special pair
+    G = {(a, b): g.tg(a, b) for a in _S for b in _S}
+    P = [(a, b, gab) for (a, b), gab in G.items()]  # (a, b, g^ab), special pair
+    P2 = [(i, j, k, l, gij * gkl) for i, j, gij in P for k, l, gkl in P]
+    T3 = [(a, b, c) for a in _S for b in _S for c in _S]
 
     # each pattern once, keyed by the sigma counts of its groups
     e3p, e3, e22, e211, e4 = (
@@ -246,30 +251,26 @@ def l_terms(table: EtaTable, moments) -> LTerms:
         out += w**2 * p * sum(gsu * A(0, 0, s) * B(0, 0, u) for s, u, gsu in P)
         out += w**2 * p * sum(gkl * A(0, k, 0) * B(0, l, 0) for k, l, gkl in P)
         out += w**2 * p * sum(gij * A(i, 0, 0) * B(j, 0, 0) for i, j, gij in P)
-        return out + sum(
-            gij * gkl * gsu * A(i, k, s) * B(j, l, u)
-            for i, j, gij in P for k, l, gkl in P for s, u, gsu in P
-        )
+        # raise A's slots one at a time: up[j, l, u] = sum of g^ij g^kl g^su A(i, k, s)
+        up = {(j, k, s): sum(G[i, j] * A(i, k, s) for i in _S) for j, k, s in T3}
+        up = {(j, l, s): sum(G[k, l] * up[j, k, s] for k in _S) for j, l, s in T3}
+        up = {(j, l, u): sum(G[s, u] * up[j, l, s] for s in _S) for j, l, u in T3}
+        return out + sum(up[t] * B(*t) for t in T3)
 
     def ijk_lsu(A, B):
+        a = {k: sum(gij * A(i, j, k) for i, j, gij in P) for k in _S}  # A's ij pair contracted
+        b = {l: sum(gsu * B(l, s, u) for s, u, gsu in P) for l in _S}  # B's su pair contracted
         out = w**3 * M2b * A(0, 0, 0) * B(0, 0, 0)
-        out += w**2 * p**2 * sum(gkl * A(0, 0, k) * B(l, 0, 0) for k, l, gkl in P)
-        out += w * p * sum(
-            gkl * gsu * A(0, 0, k) * B(l, s, u) for k, l, gkl in P for s, u, gsu in P
-        )
-        out += w * p * sum(
-            gij * gkl * A(i, j, k) * B(l, 0, 0) for i, j, gij in P for k, l, gkl in P
-        )
-        return out + sum(
-            gij * gkl * gsu * A(i, j, k) * B(l, s, u)
-            for i, j, gij in P for k, l, gkl in P for s, u, gsu in P
-        )
+        out += w**2 * (p * p) * sum(gkl * A(0, 0, k) * B(l, 0, 0) for k, l, gkl in P)
+        out += w * p * sum(gkl * A(0, 0, k) * b[l] for k, l, gkl in P)
+        out += w * p * sum(gkl * a[k] * B(l, 0, 0) for k, l, gkl in P)
+        return out + sum(gkl * a[k] * b[l] for k, l, gkl in P)
 
     def ijkl(head, F):
         out = w**2 * M1 * head
         out += w * p * sum(gkl * F(0, 0, k, l) for k, l, gkl in P)
         out += w * p * sum(gij * F(i, j, 0, 0) for i, j, gij in P)
-        return out + sum(gij * gkl * F(i, j, k, l) for i, j, gij in P for k, l, gkl in P)
+        return out + sum(g * F(i, j, k, l) for i, j, k, l, g in P2)
 
     def ikjl(head, F):
         return ijkl(head, lambda i, j, k, l: F(i, k, j, l))
@@ -422,24 +423,84 @@ def _validity_n_min(p: int, main, q_ref) -> int:
         decreasing = main * n * (n + 1) + q_ref * (2 * n + 1) > 0
         return positive and decreasing
 
-    n = p + 3
-    if q_ref < 0:
-        n = max(n, int(-2 * float(q_ref) / float(main)) - 3)
+    if not -math.inf < q_ref < math.inf:
+        raise ArithmeticError(f"q(-1) = {q_ref} is not finite; no validity region")
+    start = -2 * (min(q_ref, 0) / main)  # ok(n) holds from about here on
+    if start > 10**9:
+        raise ArithmeticError("the validity region starts beyond n = 10^9")
+    n = max(p + 3, int(start) - 3)
     while not ok(n):
         n += 1
-        if n > 10**9:  # main/n dominates eventually; this is unreachable
-            raise RuntimeError("validity search did not terminate")
     while n - 1 >= p + 3 and ok(n - 1):
         n -= 1
     return n
+
+
+class _Affine:
+    """n[0]/d + n[1]/d p + n[2]/d p^2 + n[3]/d M2a + n[4]/d M2b + n[5]/d M1.
+
+    Integer numerators over one denominator keep the kernel pass exact and
+    cheap.  Numbers (int or Fraction) scale and shift a form; of two forms
+    only p * p multiplies, so a formula that is not affine in them fails.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: list, d: int = 1):
+        self.n, self.d = n, d
+
+    def __add__(self, other, sign=1):
+        if not isinstance(other, _Affine):
+            other = _Affine([other.numerator, 0, 0, 0, 0, 0], other.denominator)
+        d = math.lcm(self.d, other.d)
+        a, b = d // self.d, sign * (d // other.d)
+        return _Affine([x * a + y * b for x, y in zip(self.n, other.n)], d)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Affine):
+            k = other.numerator
+            return _Affine([x * k for x in self.n], self.d * other.denominator)
+        if any(self.n[:1] + self.n[2:] + other.n[:1] + other.n[2:]):
+            raise TypeError("the expansion is not affine in (1, p, p^2, M2a, M2b, M1)")
+        return _Affine([0, 0, self.n[1] * other.n[1], 0, 0, 0], self.d * other.d)
+
+    __rmul__ = __mul__
+    __neg__ = lambda self: self * -1
+    __sub__ = lambda self, other: self.__add__(other, -1)
+    __truediv__ = lambda self, k: _Affine(self.n, self.d * k)
+
+
+class _Symbols(AggregatedMoments):
+    __post_init__ = lambda self: None  # symbols, not numbers: nothing to validate
+
+
+_BASIS = _Symbols(*(_Affine([int(i == j) for j in range(6)]) for i in (1, 3, 4, 5)))  # p, M2a, M2b, M1
+
+
+def _kernel(table: EtaTable) -> tuple:
+    """K with (qa, qb, qc) = K . (1, p, p^2, M2a, M2b, M1), kept on the table.
+
+    One l_terms pass over symbolic aggregates, stored in the table's instance
+    dict, so it lives as long as the table (treated as immutable).  A float
+    table is compiled at the exact binary values of its entries and each
+    coefficient rounded once, so K adds no rounding of its own.
+    """
+    if "_kernel" not in table.__dict__:
+        exact = table if table.exact else EtaTable(table.model_label, {
+            i: EtaEntry(Fraction(e.value), e.abs_error_bound, e.method) for i, e in table.entries.items()
+        }, exact=True)
+        q = _q_from_invariants(geometric_invariants(l_terms(exact, _BASIS), _BASIS.p), _BASIS.p)
+        cast = Fraction if table.exact else lambda n, d: n / d
+        table.__dict__["_kernel"] = tuple(tuple(cast(n, f.d) for n in f.n) for f in q)
+    return table.__dict__["_kernel"]
 
 
 def risk_expansion(table: EtaTable, moments, with_error: bool = True) -> RiskExpansion:
     """Assemble the full expansion for an eta table and a moment summary."""
     agg = to_aggregated(moments)
     p = agg.p
-    lt = l_terms(table, agg)
-    qa, qb, qc = _q_from_invariants(geometric_invariants(lt, p), p)
+    basis = (1, p, p * p, agg.M2a, agg.M2b, agg.M1)
+    qa, qb, qc = (sum(k * b for k, b in zip(row, basis)) for row in _kernel(table))
     main = Fraction(p + 2, 2) if isinstance(qa, Fraction) else (p + 2) / 2
     q_ref = qa - qb + qc  # alpha = -1, the reference divergence
     coeff_error = 0.0

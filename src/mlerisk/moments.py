@@ -22,6 +22,7 @@ supplied separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,12 +54,13 @@ class HomogeneousMoments:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be a positive integer")
+        if self.m3_squared is None:
+            object.__setattr__(self, "m3_squared", self.m3 * self.m3)
+        _require_finite(self)
         if not self.m4 >= 1:
             raise ValueError("m4 must be >= 1 (Jensen: E[x^4] >= E[x^2]^2 = 1)")
         if not self.m22 >= 0:
             raise ValueError("m22 must be nonnegative")
-        if self.m3_squared is None:
-            object.__setattr__(self, "m3_squared", self.m3 * self.m3)
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,7 @@ class AggregatedMoments:
     def __post_init__(self):
         if self.p < 0:
             raise ValueError("p must be a nonnegative integer")
+        _require_finite(self)
         if self.p == 0 and any(float(v) != 0.0 for v in (self.M2a, self.M2b, self.M1)):
             raise ValueError("aggregated moments must vanish when p = 0")
         if not self.M2a >= 0:
@@ -79,6 +82,13 @@ class AggregatedMoments:
             raise ValueError("M2b is a sum of squared partial sums and must be nonnegative")
         if not self.M1 >= 0:
             raise ValueError("M1 is a sum of squares and must be nonnegative")
+
+
+def _require_finite(moments) -> None:
+    """Refuse an infinite or NaN moment, naming it (Fractions are always finite)."""
+    for name, value in vars(moments).items():
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def to_aggregated(moments) -> AggregatedMoments:

@@ -266,3 +266,32 @@ def test_unknown_drop_column_is_config_error(tmp_path, capsys):
     error = json.loads(err)
     assert error["kind"] == "config"
     assert "'nosuch'" in error["error"] and "'b'" not in error["error"]
+
+
+@pytest.mark.parametrize(
+    "argv,kind,name",
+    [
+        (["risk", "--p", "10", "--aggregated", "M2a=0,M2b=0,M1=inf"], "config", "M1 must be finite"),
+        (["risk", "--p", "10", "--aggregated", "M2a=0,M2b=inf,M1=200"], "config", "M2b must be finite"),
+        (["risk", "--p", "10", "--homogeneous", "m4=inf,m22=1"], "config", "m4 must be finite"),
+        (["risk", "--p", "10", "--aggregated", "M2a=0,M2b=1e308,M1=1e308"], "numeric", "validity region"),
+        (["risk", "--p", "10", "--xpreset", "normal", "--alpha", "nan"], "config", "--alpha"),
+        (["ide", "--p", "10", "--xpreset", "normal", "--alpha", "inf"], "config", "--alpha"),
+        (["rss", "--p", "10", "--xpreset", "normal", "--alpha", "nan"], "config", "--alpha"),
+        (["series", "--p", "10", "--xpreset", "normal", "--alpha=-inf"], "config", "--alpha"),
+        (["validate", "--xdist", "normal", "--p", "1", "--n", "50", "--reps", "5", "--alpha", "nan"],
+         "config", "--alpha"),
+    ],
+    ids=["M1-inf", "M2b-inf", "m4-inf", "validity-beyond-cap", "risk-alpha-nan", "ide-alpha-inf",
+         "rss-alpha-nan", "series-alpha-minus-inf", "validate-alpha-nan"],
+)
+def test_non_finite_input_ends_in_a_clean_exit(argv, kind, name):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlerisk.cli", *argv, "--error", "normal"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == {"config": 2, "numeric": 3}[kind]
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr)
+    assert error["kind"] == kind
+    assert name in error["error"]

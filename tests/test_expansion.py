@@ -1,13 +1,20 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mlerisk.error_models import normal_error
+import mlerisk.expansion
+from mlerisk.error_models import normal_error, skew_normal_error, student_t_error
 from mlerisk.eta import GRID, EtaEntry, EtaMethod, EtaTable, build_eta_table, eta_normal
 from mlerisk.expansion import (
     SingularInformationError,
+    _kernel,
+    _propagate_coefficient_error,
+    _q_from_invariants,
+    _validity_n_min,
     eta_pattern,
     evaluate_risk,
     geometric_invariants,
@@ -15,7 +22,7 @@ from mlerisk.expansion import (
     metric_block,
     risk_expansion,
 )
-from mlerisk.moments import AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
+from mlerisk.moments import X_PRESET_NAMES, AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
 from combinator_oracle import ORACLE_CASES
 
 F = Fraction
@@ -390,3 +397,133 @@ def test_jsonable_roundtrip_fields(normal_table):
     assert payload["q"] == [float(exp.qa), float(exp.qb), float(exp.qc)]
     assert payload["q_exact"] == [str(exp.qa), str(exp.qb), str(exp.qc)]
     assert payload["validity_n_min"] == exp.validity_n_min
+
+
+# --- compiled kernel ------------------------------------------------------------
+
+
+def _moment_sources():
+    """p in {0, 1, 2, 10, 40}: every preset and homogeneous moments with odd terms."""
+    yield AggregatedMoments(p=0, M2a=0, M2b=0, M1=0)
+    for p in (1, 2, 10, 40):
+        yield from (x_preset(name, p) for name in X_PRESET_NAMES)
+        yield HomogeneousMoments(p=p, m4=F(7, 2), m22=F(6, 5), m3=F(1, 3), m21=F(-1, 7), m111=F(1, 11))
+        yield HomogeneousMoments(p=p, m4=F(5), m22=F(9, 4), m3=F(-3, 2), m21=F(2, 5), m111=F(-1, 3))
+
+
+def _direct_q(table, moments):
+    """(qa, qb, qc) from one l_terms call on the moments themselves."""
+    agg = to_aggregated(moments)
+    return _q_from_invariants(geometric_invariants(l_terms(table, agg), agg.p), agg.p)
+
+
+def _first_valid_n(p, main, q_ref):
+    """The definition of validity_n_min: the first n >= p+3 from which ED(-1, .)
+    is positive and decreasing (both conditions hold from some n on)."""
+    n = p + 3
+    while not (main * n + q_ref > 0 and main * n * (n + 1) + q_ref * (2 * n + 1) > 0):
+        n += 1
+    return n
+
+
+@pytest.fixture(scope="module")
+def t21_5_table():
+    return build_eta_table(student_t_error(F(21, 5)))
+
+
+@pytest.mark.parametrize("fixture", ["normal_table", "t3_table", "t21_5_table"])
+def test_kernel_gives_the_direct_route_bit_for_bit_on_exact_tables(fixture, request):
+    table = request.getfixturevalue(fixture)
+    for moments in _moment_sources():
+        exp = risk_expansion(table, moments)
+        q = _direct_q(table, moments)
+        assert (exp.qa, exp.qb, exp.qc) == q
+        assert all(type(c) is F for c in (exp.qa, exp.qb, exp.qc))
+        assert exp.to_jsonable()["q_exact"] == [str(c) for c in q]
+        p = to_aggregated(moments).p
+        assert exp.validity_n_min == _first_valid_n(p, F(p + 2, 2), q[0] - q[1] + q[2])
+
+
+@pytest.mark.parametrize("model", [skew_normal_error(0.5), skew_normal_error(3.0), student_t_error(4.2)],
+                         ids=["sn(0.5)", "sn(3)", "t(4.2)"])
+def test_kernel_on_a_float_table_is_no_further_from_exact_than_the_direct_route(model):
+    """Against the exact-rational evaluation of the same float table."""
+    table = build_eta_table(model)
+    exact = EtaTable(
+        table.model_label,
+        {idx: EtaEntry(F(e.value), e.abs_error_bound, e.method) for idx, e in table.entries.items()},
+        exact=True,
+    )
+    # the float kernel is the exact kernel of the table's binary values, rounded once
+    assert _kernel(table) == tuple(tuple(float(k) for k in row) for row in _kernel(exact))
+    worst_kernel = worst_direct = 0
+    for moments in _moment_sources():
+        truth = _direct_q(exact, moments)
+        scale = max(abs(c) for c in truth)
+        exp = risk_expansion(table, moments, with_error=False)
+        worst_kernel = max(worst_kernel, *(abs(F(a) - b) / scale for a, b in zip((exp.qa, exp.qb, exp.qc), truth)))
+        worst_direct = max(worst_direct, *(abs(F(a) - b) / scale for a, b in zip(_direct_q(table, moments), truth)))
+    assert worst_kernel <= worst_direct
+    assert worst_kernel < 1e-14
+
+
+@pytest.mark.parametrize("shape", [0.5, 3.0])
+def test_coeff_error_keeps_its_finite_difference(shape):
+    """Only the base point q0 of the finite difference comes from the kernel now."""
+    table = build_eta_table(skew_normal_error(shape))
+    for moments in (x_preset("pareto", 10), x_preset("normal", 3),
+                    HomogeneousMoments(p=40, m4=F(5), m22=F(9, 4), m3=F(-3, 2), m21=F(2, 5), m111=F(-1, 3))):
+        agg = to_aggregated(moments)
+        direct = _propagate_coefficient_error(table, agg, _direct_q(table, agg))
+        assert risk_expansion(table, moments).coeff_error == pytest.approx(direct, rel=1e-6)
+
+
+def test_l_terms_runs_once_per_table_and_the_kernel_dies_with_it(monkeypatch):
+    """Calls of the module attribute, as the benchmark's tracer counts them."""
+    calls = []
+    original = mlerisk.expansion.l_terms
+    monkeypatch.setattr(mlerisk.expansion, "l_terms", lambda *args: calls.append(args) or original(*args))
+    table = build_eta_table(normal_error())
+    risk_expansion(table, x_preset("pareto", 10))
+    assert len(calls) == 1
+    risk_expansion(table, x_preset("t", 7))
+    risk_expansion(table, AggregatedMoments(p=3, M2a=F(1), M2b=F(2), M1=F(20)))
+    assert len(calls) == 1
+    sn3 = build_eta_table(skew_normal_error(3.0))
+    calls.clear()
+    risk_expansion(sn3, x_preset("pareto", 10))  # one kernel pass, 109 bumped tables
+    assert len(calls) == 110
+    calls.clear()  # the recorded arguments hold the tables
+    dropped = weakref.ref(table)
+    del table
+    gc.collect()
+    assert dropped() is None
+
+
+@pytest.mark.parametrize("q_ref", [float("nan"), float("inf"), -float("inf")])
+def test_validity_search_refuses_a_non_finite_reference(q_ref):
+    with pytest.raises(ArithmeticError, match="not finite"):
+        _validity_n_min(10, 6.0, q_ref)
+
+
+def test_validity_search_refuses_a_region_beyond_its_cap(normal_table):
+    with pytest.raises(ArithmeticError, match="beyond"):
+        risk_expansion(normal_table, AggregatedMoments(p=10, M2a=0, M2b=F(10**308), M1=F(10**308)))
+    with pytest.raises(ArithmeticError, match="beyond"):
+        _validity_n_min(10, 6.0, -1e300)
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: AggregatedMoments(p=10, M2a=0, M2b=0, M1=float("inf")), "M1"),
+        (lambda: AggregatedMoments(p=10, M2a=float("nan"), M2b=0, M1=120), "M2a"),
+        (lambda: AggregatedMoments(p=10, M2a=0, M2b=float("inf"), M1=200), "M2b"),
+        (lambda: HomogeneousMoments(p=3, m4=float("inf"), m22=1), "m4"),
+        (lambda: HomogeneousMoments(p=3, m4=3, m22=1, m21=float("nan")), "m21"),
+        (lambda: HomogeneousMoments(p=3, m4=3, m22=1, m111=-float("inf")), "m111"),
+    ],
+)
+def test_non_finite_moments_are_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build()
