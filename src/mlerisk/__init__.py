@@ -40,18 +40,7 @@ from .eta import (
     eta_quadrature,
     eta_t,
 )
-from .expansion import (
-    GeometricInvariants,
-    LTerms,
-    MetricBlock,
-    RiskExpansion,
-    eta_pattern,
-    evaluate_risk,
-    geometric_invariants,
-    l_terms,
-    metric_block,
-    risk_expansion,
-)
+from .expansion import LTerms, RiskExpansion, l_terms, risk_expansion
 from .mc import MLEFit, RiskEstimate, SimConfig, divergence, estimate_risk, mle_fit, simulate
 from .moments import AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
 
@@ -62,13 +51,11 @@ __all__ = [
     "Dataset",
     "ErrorModel",
     "EtaTable",
-    "GeometricInvariants",
     "HomogeneousMoments",
     "IdeResult",
     "LTerms",
     "LoadOptions",
     "MLEFit",
-    "MetricBlock",
     "ModelKind",
     "RiskEstimate",
     "RiskExpansion",
@@ -83,15 +70,11 @@ __all__ = [
     "error_model_from_spec",
     "estimate_risk",
     "eta_normal",
-    "eta_pattern",
     "eta_quadrature",
     "eta_t",
-    "evaluate_risk",
-    "geometric_invariants",
     "ide",
     "l_terms",
     "load_csv",
-    "metric_block",
     "mle_fit",
     "normal_error",
     "risk_expansion",

@@ -87,8 +87,8 @@ def integrate_real_line(fn, tol: float = 1e-10, max_level: int = _MAX_LEVEL) -> 
     QUADPACK uses), the floor being the bound.  A result that runs out of
     levels has ``converged`` False and the last difference as its bound.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     prev = None
     value = 0.0
     err = tail = math.inf

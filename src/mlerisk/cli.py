@@ -30,7 +30,7 @@ from .benchmarks import coin_equivalent, ide, rss
 from .data_moments import LoadOptions, load_csv, sample_aggregates, standardize
 from .error_models import error_model_from_spec
 from .eta import EtaTableError, build_eta_table
-from .expansion import evaluate_risk, risk_expansion
+from .expansion import risk_expansion
 from .mc import SimConfig, estimate_risk
 from .moments import X_PRESET_NAMES, AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
 
@@ -261,10 +261,9 @@ def _cmd_risk(args):
     if args.alpha is not None:
         payload["q_at_alpha"] = float(exp.q(args.alpha))
         if args.n is not None:
-            value, below = evaluate_risk(exp, args.alpha, args.n)
-            payload["ed"] = float(value)
+            payload["ed"] = float(exp.evaluate(args.alpha, args.n))
             payload["n"] = args.n
-            payload["below_validity"] = below
+            payload["below_validity"] = args.n < exp.validity_n_min
     _emit(args, payload)
 
 
@@ -358,7 +357,7 @@ def _cmd_validate(args):
     )
     est = estimate_risk(config)
     table = build_eta_table(model, tol=args.tol)
-    exp = risk_expansion(table, moments)
+    exp = risk_expansion(table, moments, with_error=False)
     expansion_value = float(exp.evaluate(args.alpha, args.n))
     z = None
     if est.std_error:
@@ -413,7 +412,7 @@ def _cmd_table(args):
         model = error_model_from_spec(_TABLE_ERRORS[args.preset])
         table = build_eta_table(model, tol=args.tol)
         for preset in X_PRESET_NAMES:
-            exp = risk_expansion(table, x_preset(preset, 10))
+            exp = risk_expansion(table, x_preset(preset, 10), with_error=False)
             r = rss(exp, alpha)
             d = ide(exp, alpha)
             rows.append(
@@ -429,7 +428,7 @@ def _cmd_table(args):
         agg = AggregatedMoments(p=ref["p"], M2a=ref["M2a"], M2b=ref["M2b"], M1=ref["M1"])
         for spec in ("normal", "t:3", "skew-normal:3"):
             model = error_model_from_spec(spec)
-            exp = risk_expansion(build_eta_table(model, tol=args.tol), agg)
+            exp = risk_expansion(build_eta_table(model, tol=args.tol), agg, with_error=False)
             r = rss(exp, alpha)
             d = ide(exp, alpha)
             rows.append(

@@ -314,8 +314,8 @@ def build_eta_table(model: ErrorModel, tol: float = 1e-10) -> EtaTable:
     models go through quadrature at ``tol``.  The finished table is validated
     against the integration-by-parts identities before being returned.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     entries: dict[tuple[int, int, int, int], EtaEntry] = {}
     if model.kind is ModelKind.NORMAL:
         for idx in GRID:

@@ -7,20 +7,24 @@ The expected alpha-divergence of the regression MLE expands as
 where q is a quadratic in alpha.  This module carries an
 :class:`~mlerisk.eta.EtaTable` plus a moment summary through the chain
 
-    metric block -> eta patterns -> L terms -> geometric invariants
-    -> (qa, qb, qc)
+    eta table -> L terms -> (qa, qb, qc)
 
 using plain Python arithmetic throughout, so exact rational tables yield
-exact rational coefficients.  The eta patterns (expectations of products of
-score derivatives) follow from two differentiation rules and agree with the
-published program listing case by case; its one extra term, eta[0,0,1,0] in
-the (SSB) triple, vanishes by the table invariants.  Where that pipeline and
-its accompanying derivation disagree, the pipeline wins, because the
-published coefficient tables are its output: the M1 head of l12 and the use
-of the regressor count p (rather than the full parameter count p+2) inside
-two of the inner products follow the listing.  Reading p+2 there instead
-cancels in qa and qb and lowers qc by exactly 1, so that reading is reported
-as the constant shift ``q_full_param_count = [qa, qb, qc - 1]``.
+exact rational coefficients.  :func:`l_terms` is the one public intermediate
+stage.  The first expansion of a table runs the chain once over symbolic
+moments and keeps the kernel K it yields; every expansion is then
+(qa, qb, qc) = K . (1, p, p^2, M2a, M2b, M1).
+
+The eta patterns (expectations of products of score derivatives) follow from
+two differentiation rules and agree with the published program listing case
+by case; its one extra term, eta[0,0,1,0] in the (SSB) triple, vanishes by
+the table invariants.  Where that pipeline and its accompanying derivation
+disagree, the pipeline wins, because the published coefficient tables are
+its output: the M1 head of l12 and the use of the regressor count p (rather
+than the full parameter count p+2) inside two of the inner products follow
+the listing.  Reading p+2 there instead cancels in qa and qb and lowers qc
+by exactly 1, so that reading is reported as the constant shift
+``q_full_param_count = [qa, qb, qc - 1]``.
 
 Everything here is pure apart from the kernel a table keeps after its first
 expansion (concurrent first calls compute the same kernel), so expansions can
@@ -30,7 +34,6 @@ be evaluated concurrently over parameter sweeps.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,17 +43,11 @@ from .eta import EtaTable, EtaEntry
 from .moments import AggregatedMoments, to_aggregated
 
 __all__ = [
-    "MetricBlock",
     "LTerms",
-    "GeometricInvariants",
     "RiskExpansion",
     "SingularInformationError",
-    "metric_block",
-    "eta_pattern",
     "l_terms",
-    "geometric_invariants",
     "risk_expansion",
-    "evaluate_risk",
 ]
 
 _S = (0, 1)  # special indices: 0 = intercept slot (B type), 1 = sigma slot
@@ -60,26 +57,9 @@ class SingularInformationError(ArithmeticError):
     """The {intercept, sigma} information block is numerically singular."""
 
 
-@dataclass(frozen=True)
-class MetricBlock:
-    """sigma-free inverse-information data for the {0, sigma} block.
-
-    ``tg00``, ``tg0s``, ``tgss`` are sigma^-2 times the inverse-metric
-    entries g^00, g^0s, g^ss; ``eta0020`` is the per-coordinate information
-    of the slope block.
-    """
-
-    eta0020: object
-    delta: object
-    tg00: object
-    tg0s: object
-    tgss: object
-
-    def tg(self, a: int, b: int):
-        return (self.tg00, self.tg0s, self.tgss)[a + b]
-
-
-def metric_block(table: EtaTable) -> MetricBlock:
+def _metric(table: EtaTable) -> tuple:
+    """(w, G): the slope-block inverse information w = 1/eta0020, and G[a, b]
+    = sigma^-2 g^ab on the special pair {intercept, sigma}."""
     v = table.value
     eta0020 = v(0, 0, 2, 0)
     gss = 1 + 2 * v(0, 0, 1, 1) + v(0, 0, 2, 2)
@@ -88,13 +68,8 @@ def metric_block(table: EtaTable) -> MetricBlock:
         raise SingularInformationError(
             f"singular information block for {table.model_label}: delta = {float(delta):.3e}"
         )
-    return MetricBlock(
-        eta0020=eta0020,
-        delta=delta,
-        tg00=gss / delta,
-        tg0s=v(0, 1, 0, 1) / delta,
-        tgss=eta0020 / delta,
-    )
+    tg = (gss / delta, v(0, 1, 0, 1) / delta, eta0020 / delta)
+    return 1 / eta0020, {(a, b): tg[a + b] for a in _S for b in _S}
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +153,6 @@ _PAIR_PAIR = {(a, b): _terms(((2, a), (2, b))) for a in range(3) for b in range(
 _PAIR_TWO = {(a, b): _terms(((2, a), *_singles(2, b))) for a in range(3) for b in range(3)}
 _FOUR = {n: _terms(_singles(4, n)) for n in range(5)}
 
-_SHAPES = ((2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1))
-
-
-def eta_pattern(table: EtaTable, pattern: str):
-    """Evaluate a mixed-index moment pattern such as ``"(BS)S"`` or ``"SSSS"``.
-
-    Slots are B (a beta-type index) or S (sigma); parentheses mark a grouped
-    second/third derivative factor.  Patterns that coincide under the listed
-    symmetries (order within a group, group order) give identical values.
-    """
-    s = pattern.replace(" ", "")
-    if not re.fullmatch(r"(\([BS]+\)|[BS])+", s):
-        raise ValueError(f"pattern {pattern!r} is not a sequence of B/S slots and (...) groups")
-    found = (g.strip("()") for g in re.findall(r"\([BS]+\)|[BS]", s))
-    groups = tuple(sorted(((len(g), g.count("S")) for g in found), reverse=True))
-    if tuple(n for n, _ in groups) not in _SHAPES:
-        raise ValueError(f"unknown pattern shape {pattern!r}")
-    return _evaluate(table, _terms(groups))
-
 
 # ---------------------------------------------------------------------------
 # L terms
@@ -222,17 +178,15 @@ def l_terms(table: EtaTable, moments) -> LTerms:
     """All eleven metric-contracted L sums for the given moment summary.
 
     The inverse metric is block diagonal: ``w = 1/eta0020`` on each slope
-    index and ``tg`` on the special pair {intercept, sigma}.  Every sum is one
+    index and ``G`` on the special pair {intercept, sigma}.  Every sum is one
     of four contraction templates, named by the index layout of its defining
     sum (metric pairs ij, kl, su); a template's kernel maps the sigma flags of
     its slots (0 = beta type, 1 = sigma) to an eta pattern value.
     """
     agg = to_aggregated(moments)
-    g = metric_block(table)
+    w, G = _metric(table)
     p = agg.p
     M2a, M2b, M1 = agg.M2a, agg.M2b, agg.M1
-    w = 1 / g.eta0020
-    G = {(a, b): g.tg(a, b) for a in _S for b in _S}
     P = [(a, b, gab) for (a, b), gab in G.items()]  # (a, b, g^ab), special pair
     P2 = [(i, j, k, l, gij * gkl) for i, j, gij in P for k, l, gkl in P]
     T3 = [(a, b, c) for a in _S for b in _S for c in _S]
@@ -300,34 +254,53 @@ def l_terms(table: EtaTable, moments) -> LTerms:
     )
 
 
-@dataclass(frozen=True)
-class GeometricInvariants:
-    ffe: object
-    tt1: object
-    tt2: object
-    rre: object
-    aaee1: object
-    aaee2: object
-    aaem1: object
-    aaem2: object
-
-
-def geometric_invariants(lt: LTerms, p: int) -> GeometricInvariants:
-    """Contract the L terms into the invariants entering the expansion.
+def _q(lt: LTerms, p) -> tuple:
+    """(qa, qb, qc) from the L terms, through the geometric invariants and the
+    bracket written in alpha' = (1 - alpha)/2.
 
     The reference pipeline subtracts the regressor count p inside the two
-    self-inner-products, where the derivation has the parameter count p + 2.
+    self-inner-products aaee1 and aaee2, where the derivation has the
+    parameter count p + 2.
     """
-    return GeometricInvariants(
-        ffe=2 * lt.l11 + lt.l12 + lt.l13 - 2 * lt.l21 - lt.l23 - lt.l22,
-        tt1=lt.l23,
-        tt2=lt.l24,
-        rre=lt.l14 - lt.l15 + lt.l11 - lt.l12 - lt.l25 + lt.l26 + lt.l22 - lt.l21,
-        aaee1=lt.l14 - lt.l25 - p,
-        aaee2=lt.l15 - lt.l26 - p * p,
-        aaem1=lt.l11 + lt.l14 - lt.l25 - lt.l21,
-        aaem2=lt.l12 + lt.l15 - lt.l26 - lt.l22,
+    ffe = 2 * lt.l11 + lt.l12 + lt.l13 - 2 * lt.l21 - lt.l23 - lt.l22
+    tt1 = lt.l23
+    tt2 = lt.l24
+    rre = lt.l14 - lt.l15 + lt.l11 - lt.l12 - lt.l25 + lt.l26 + lt.l22 - lt.l21
+    aaee1 = lt.l14 - lt.l25 - p
+    aaee2 = lt.l15 - lt.l26 - p * p
+    aaem1 = lt.l11 + lt.l14 - lt.l25 - lt.l21
+    aaem2 = lt.l12 + lt.l15 - lt.l26 - lt.l22
+    A = (
+        3 * ffe
+        + 3 * tt1
+        - 6 * aaem1
+        + 6 * aaee1
+        - 3 * aaem2
+        + 3 * aaee2
+        + 3 * p * p
+        + 6 * p
     )
+    B = (
+        3 * ffe
+        - 5 * tt1
+        - 6 * tt2
+        + 6 * aaem1
+        - 6 * aaee1
+        + 3 * aaem2
+        - 3 * aaee2
+        - 3 * p * p
+        - 6 * p
+    )
+    C = (
+        12 * aaee1
+        - 2 * aaem1
+        - aaem2
+        + tt1
+        + 9 * tt2
+        + 8 * rre
+        - 9 * ffe
+    )
+    return A / 96, -(A + B) / 48, (A + 2 * B + 4 * C) / 96
 
 
 @dataclass(frozen=True)
@@ -372,47 +345,6 @@ class RiskExpansion:
             out["q_exact"] = [str(self.qa), str(self.qb), str(self.qc)]
         out["q_full_param_count"] = [float(c) for c in self.q_alt]
         return out
-
-
-def evaluate_risk(expansion: RiskExpansion, alpha, n: int):
-    """Evaluate the truncated expansion; flags n below the validity region."""
-    value = expansion.evaluate(alpha, n)
-    return value, n < expansion.validity_n_min
-
-
-def _q_from_invariants(gi: GeometricInvariants, p: int):
-    """(qa, qb, qc) from the bracket written in alpha' = (1 - alpha)/2."""
-    A = (
-        3 * gi.ffe
-        + 3 * gi.tt1
-        - 6 * gi.aaem1
-        + 6 * gi.aaee1
-        - 3 * gi.aaem2
-        + 3 * gi.aaee2
-        + 3 * p * p
-        + 6 * p
-    )
-    B = (
-        3 * gi.ffe
-        - 5 * gi.tt1
-        - 6 * gi.tt2
-        + 6 * gi.aaem1
-        - 6 * gi.aaee1
-        + 3 * gi.aaem2
-        - 3 * gi.aaee2
-        - 3 * p * p
-        - 6 * p
-    )
-    C = (
-        12 * gi.aaee1
-        - 2 * gi.aaem1
-        - gi.aaem2
-        + gi.tt1
-        + 9 * gi.tt2
-        + 8 * gi.rre
-        - 9 * gi.ffe
-    )
-    return A / 96, -(A + B) / 48, (A + 2 * B + 4 * C) / 96
 
 
 def _validity_n_min(p: int, main, q_ref) -> int:
@@ -489,7 +421,7 @@ def _kernel(table: EtaTable) -> tuple:
         exact = table if table.exact else EtaTable(table.model_label, {
             i: EtaEntry(Fraction(e.value), e.abs_error_bound, e.method) for i, e in table.entries.items()
         }, exact=True)
-        q = _q_from_invariants(geometric_invariants(l_terms(exact, _BASIS), _BASIS.p), _BASIS.p)
+        q = _q(l_terms(exact, _BASIS), _BASIS.p)
         cast = Fraction if table.exact else lambda n, d: n / d
         table.__dict__["_kernel"] = tuple(tuple(cast(n, f.d) for n in f.n) for f in q)
     return table.__dict__["_kernel"]
@@ -535,9 +467,7 @@ def _propagate_coefficient_error(table: EtaTable, agg, q0) -> float:
         bumped = dict(base)
         bumped[idx] = EtaEntry(entry.value + h, entry.abs_error_bound, entry.method)
         t2 = EtaTable(table.model_label, bumped, exact=False)
-        lt = l_terms(t2, agg)
-        gi = geometric_invariants(lt, agg.p)
-        q1 = _q_from_invariants(gi, agg.p)
+        q1 = _q(l_terms(t2, agg), agg.p)
         for c in range(3):
             total[c] += abs(float(q1[c]) - float(q0[c])) / h * bound
     return max(total)

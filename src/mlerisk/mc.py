@@ -63,6 +63,8 @@ class SimConfig:
             raise ValueError("sigma must be positive")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.divergence_sample < 1:
+            raise ValueError("divergence_sample must be at least 1")
         p = len(self.beta) - 1
         if self.n < p + 3:
             raise ValueError(f"n must be at least p + 3 = {p + 3}")

@@ -85,9 +85,14 @@ class AggregatedMoments:
 
 
 def _require_finite(moments) -> None:
-    """Refuse an infinite or NaN moment, naming it (Fractions are always finite)."""
+    """Refuse an infinite or NaN moment, or one beyond the range of a double,
+    naming it (a Fraction or int is finite but may still overflow float())."""
     for name, value in vars(moments).items():
-        if not -math.inf < value < math.inf:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got a value beyond the range of a double") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -169,25 +169,17 @@ def _four(t: EtaTable, ns: int):
     raise ValueError(f"bad sigma count for abcd pattern: {ns}")
 
 
-def _pattern(*groups):
-    return "".join(f"({g})" if len(g) > 1 else g for g in groups)
+def _singles(n, ns):
+    return ((1, 1),) * ns + ((1, 0),) * (n - ns)
 
 
-def _slots(n, ns):
-    return "S" * ns + "B" * (n - ns)
-
-
-# (pattern string, oracle call) for all 41 cases; the pattern lists the
-# groups in the oracle's argument order.
-ORACLE_CASES = (
-    [(_pattern(_slots(2, a), _slots(1, s)), lambda t, a=a, s=s: _pair_single(t, a, s))
-     for a in range(3) for s in range(2)]
-    + [(_pattern(*_slots(3, n)), lambda t, n=n: _triple(t, n)) for n in range(4)]
-    + [(_pattern(_slots(2, a), _slots(2, b)), lambda t, a=a, b=b: _pair_pair(t, a, b))
-       for a in range(3) for b in range(3)]
-    + [(_pattern(_slots(3, a), _slots(1, s)), lambda t, a=a, s=s: _triple_single(t, a, s))
-       for a in range(4) for s in range(2)]
-    + [(_pattern(_slots(2, a), *_slots(2, b)), lambda t, a=a, b=b: _pair_two(t, a, b))
-       for a in range(3) for b in range(3)]
-    + [(_pattern(*_slots(4, n)), lambda t, n=n: _four(t, n)) for n in range(5)]
-)
+# {groups: oracle call} for all 41 cases.  A group (n, ns) is the n-th score
+# derivative with ns sigma slots; the groups follow the oracle's argument order.
+ORACLE_CASES = {
+    **{((2, a), (1, s)): lambda t, a=a, s=s: _pair_single(t, a, s) for a in range(3) for s in range(2)},
+    **{_singles(3, n): lambda t, n=n: _triple(t, n) for n in range(4)},
+    **{((2, a), (2, b)): lambda t, a=a, b=b: _pair_pair(t, a, b) for a in range(3) for b in range(3)},
+    **{((3, a), (1, s)): lambda t, a=a, s=s: _triple_single(t, a, s) for a in range(4) for s in range(2)},
+    **{((2, a), *_singles(2, b)): lambda t, a=a, b=b: _pair_two(t, a, b) for a in range(3) for b in range(3)},
+    **{_singles(4, n): lambda t, n=n: _four(t, n) for n in range(5)},
+}

@@ -144,6 +144,26 @@ def test_series_csv_contract(capsys):
     assert eds[10] == pytest.approx(6 / 120 - 217 / (12 * 120**2), rel=1e-12)
 
 
+def test_risk_flags_n_below_validity(capsys):
+    argv = ["risk", "--error", "normal", "--xpreset", "t", "--p", "10", "--alpha", "-1"]
+    n_min = json.loads(run_cli(capsys, *argv)[1])["validity_n_min"]
+    for n, below in ((n_min - 1, True), (n_min, False)):
+        code, out, _ = run_cli(capsys, *argv, "--n", str(n))
+        assert code == 0
+        assert json.loads(out)["below_validity"] is below
+
+
+@pytest.mark.parametrize("preset", ["table1", "table2", "table3", "table4", "table5"])
+def test_table_output_does_not_depend_on_the_coefficient_error(capsys, monkeypatch, preset):
+    from mlerisk import cli
+
+    code, without, _ = run_cli(capsys, "table", "--preset", preset)
+    assert code == 0
+    full = cli.risk_expansion
+    monkeypatch.setattr(cli, "risk_expansion", lambda table, moments, **_: full(table, moments, with_error=True))
+    assert run_cli(capsys, "table", "--preset", preset) == (0, without, "")
+
+
 def test_table1(capsys):
     code, out, _ = run_cli(capsys, "table", "--preset", "table1")
     payload = json.loads(out)
@@ -295,3 +315,27 @@ def test_non_finite_input_ends_in_a_clean_exit(argv, kind, name):
     error = json.loads(proc.stderr)
     assert error["kind"] == kind
     assert name in error["error"]
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["risk", "--error", "skew-normal:3", "--xpreset", "normal", "--p", "3", "--tol", "nan"], "tol"),
+        (["risk", "--error", "skew-normal:3", "--xpreset", "normal", "--p", "3", "--tol", "inf"], "tol"),
+        (["risk", "--error", "skew-normal:3", "--xpreset", "normal", "--p", "3", "--tol", "0"], "tol"),
+        (["eta", "dump", "--error", "skew-normal:3", "--tol", "nan"], "tol"),
+        (["risk", "--error", "normal", "--homogeneous", "m4=3,m22=1,m3=1e200", "--p", "10"], "m3_squared"),
+        (["risk", "--error", "normal", "--aggregated", "M2a=1e400,M2b=0,M1=121", "--p", "10"], "M2a"),
+        (["validate", "--error", "normal", "--xdist", "normal", "--p", "1", "--n", "50", "--reps", "5",
+          "--divergence-sample", "0"], "divergence_sample"),
+    ],
+    ids=["tol-nan", "tol-inf", "tol-zero", "eta-tol-nan", "m3-squared-overflows", "M2a-overflows",
+         "divergence-sample-zero"],
+)
+def test_out_of_range_input_is_refused_by_name(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["kind"] == "config"
+    assert error["error"].startswith(name)

@@ -28,7 +28,7 @@ import pytest
 from mlerisk._quadrature import integrate_real_line
 from mlerisk.error_models import normal_error, skew_normal_error, student_t_error
 from mlerisk.eta import build_eta_table
-from mlerisk.expansion import eta_pattern, l_terms, metric_block
+from mlerisk.expansion import _PAIR_PAIR, _PAIR_TWO, _evaluate, _metric, l_terms
 from mlerisk.moments import HomogeneousMoments, to_aggregated
 
 B, S = 0, 1  # kernel types: beta-like index (including the intercept), sigma
@@ -219,7 +219,7 @@ def test_l_terms_match_full_contraction(model_name, p):
     agg = to_aggregated(moments)
     w = 1.0 / float(table.value(0, 0, 2, 0))
     l12_offset = (
-        w * w * float(agg.M1) * float(eta_pattern(table, "(BB)(BB)") - eta_pattern(table, "(BB)BB"))
+        w * w * float(agg.M1) * float(_evaluate(table, _PAIR_PAIR[0, 0]) - _evaluate(table, _PAIR_TWO[0, 0]))
     )
     for name, want in oracle.items():
         got = float(getattr(mine, name))
@@ -231,13 +231,13 @@ def test_l_terms_match_full_contraction(model_name, p):
 def test_metric_block_matches_full_inverse():
     model = skew_normal_error(3.0)
     table = build_eta_table(model, tol=1e-12)
-    g = metric_block(table)
+    _, G = _metric(table)
     k1, _, _ = _kernels(model)
     e = {
         (a, b): _expect(model, k1[a], k1[b]) for a in (B, S) for b in (B, S)
     }
     fwd = np.array([[e[(B, B)], e[(B, S)]], [e[(B, S)], e[(S, S)]]])
     inv = np.linalg.inv(fwd)
-    assert float(g.tg00) == pytest.approx(inv[0, 0], rel=1e-10)
-    assert float(g.tg0s) == pytest.approx(inv[0, 1], rel=1e-10, abs=1e-10)
-    assert float(g.tgss) == pytest.approx(inv[1, 1], rel=1e-10)
+    assert float(G[0, 0]) == pytest.approx(inv[0, 0], rel=1e-10)
+    assert float(G[0, 1]) == pytest.approx(inv[0, 1], rel=1e-10, abs=1e-10)
+    assert float(G[1, 1]) == pytest.approx(inv[1, 1], rel=1e-10)

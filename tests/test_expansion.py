@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -10,16 +11,16 @@ import mlerisk.expansion
 from mlerisk.error_models import normal_error, skew_normal_error, student_t_error
 from mlerisk.eta import GRID, EtaEntry, EtaMethod, EtaTable, build_eta_table, eta_normal
 from mlerisk.expansion import (
+    LTerms,
     SingularInformationError,
+    _evaluate,
     _kernel,
+    _metric,
     _propagate_coefficient_error,
-    _q_from_invariants,
+    _q,
+    _terms,
     _validity_n_min,
-    eta_pattern,
-    evaluate_risk,
-    geometric_invariants,
     l_terms,
-    metric_block,
     risk_expansion,
 )
 from mlerisk.moments import X_PRESET_NAMES, AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
@@ -32,17 +33,15 @@ F = Fraction
 
 
 def test_metric_block_normal(normal_table):
-    g = metric_block(normal_table)
-    assert g.delta == 2
-    assert g.tg00 == 1
-    assert g.tg0s == 0
-    assert g.tgss == F(1, 2)
+    w, G = _metric(normal_table)
+    assert w == 1
+    assert G == {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): F(1, 2)}
 
 
 @pytest.mark.parametrize("fixture", ["normal_table", "t3_table", "sn3_table"])
 def test_metric_block_inverse_identity(fixture, request):
     table = request.getfixturevalue(fixture)
-    g = metric_block(table)
+    w, G = _metric(table)
     v = lambda *idx: float(table.value(*idx))
     fwd = np.array(
         [
@@ -50,12 +49,14 @@ def test_metric_block_inverse_identity(fixture, request):
             [-v(0, 1, 0, 1), 1 + 2 * v(0, 0, 1, 1) + v(0, 0, 2, 2)],
         ]
     )
-    inv = np.array([[float(g.tg00), float(g.tg0s)], [float(g.tg0s), float(g.tgss)]])
+    inv = np.array([[float(G[a, b]) for b in (0, 1)] for a in (0, 1)])
     assert np.max(np.abs(inv @ fwd - np.eye(2))) < 1e-12
+    assert w == 1 / table.value(0, 0, 2, 0)
 
 
 def test_metric_block_symmetric_cross_term_vanishes(t3_table):
-    assert metric_block(t3_table).tg0s == 0
+    _, G = _metric(t3_table)
+    assert G[0, 1] == G[1, 0] == 0
 
 
 def test_metric_block_singular():
@@ -66,16 +67,24 @@ def test_metric_block_singular():
     entries[(0, 1, 0, 1)] = EtaEntry(F(0), F(0), EtaMethod.CLOSED_FORM)
     broken = EtaTable("broken", entries, exact=True)
     with pytest.raises(SingularInformationError):
-        metric_block(broken)
+        _metric(broken)
 
 
 # --- eta patterns ------------------------------------------------------------
+# A pattern is a product of groups (n, ns): an n-th score derivative with ns
+# sigma slots, e.g. ((2, 0), (1, 0)) is L_(BB)B and ((1, 1),) * 3 is L_SSS.
+
+_SSS = ((1, 1),) * 3
+
+
+def _pattern(table, *groups):
+    return _evaluate(table, _terms(groups))
 
 
 def test_pattern_examples_normal(normal_table):
-    assert eta_pattern(normal_table, "(BB)B") == 0  # -eta[0,1,1,0], odd parity
+    assert _pattern(normal_table, (2, 0), (1, 0)) == 0  # -eta[0,1,1,0], odd parity
     # -(1 + 3 eta[0,0,1,1] + 3 eta[0,0,2,2] + eta[0,0,3,3]) = -(1 - 3 + 9 - 15)
-    assert eta_pattern(normal_table, "SSS") == 8
+    assert _pattern(normal_table, *_SSS) == 8
     v = normal_table.value
     expected = (
         1
@@ -85,7 +94,7 @@ def test_pattern_examples_normal(normal_table):
         + 4 * v(0, 0, 1, 1)
         + 4 * v(0, 1, 1, 3)
     )
-    assert eta_pattern(normal_table, "(SS)(SS)") == expected
+    assert _pattern(normal_table, (2, 2), (2, 2)) == expected
 
 
 def test_pattern_sss_matches_score_cube_quadrature(normal_table):
@@ -100,16 +109,7 @@ def test_pattern_sss_matches_score_cube_quadrature(normal_table):
 
     res = integrate_real_line(integrand, tol=1e-11)
     # the SSS combinator equals E[l_sigma^3] (minus signs already folded in)
-    assert float(eta_pattern(normal_table, "SSS")) == pytest.approx(res.value, abs=1e-9)
-
-
-def test_pattern_symmetries(sn3_table):
-    assert eta_pattern(sn3_table, "(BS)S") == eta_pattern(sn3_table, "(SB)S")
-    assert eta_pattern(sn3_table, "(BS)(SS)") == eta_pattern(sn3_table, "(SS)(BS)")
-    assert eta_pattern(sn3_table, "BSS") == eta_pattern(sn3_table, "SBS")
-    assert eta_pattern(sn3_table, "(BSS)B") == eta_pattern(sn3_table, "(SBS)B")
-    assert eta_pattern(sn3_table, "(BS)BS") == eta_pattern(sn3_table, "(SB)SB")
-    assert eta_pattern(sn3_table, "BSSB") == eta_pattern(sn3_table, "SSBB")
+    assert float(_pattern(normal_table, *_SSS)) == pytest.approx(res.value, abs=1e-9)
 
 
 def _random_rational_table(seed):
@@ -127,14 +127,14 @@ def test_derived_patterns_equal_the_hand_expanded_listing_exactly(seed):
     # entry the listing does not read would show up as a mismatch
     table = _random_rational_table(seed)
     assert len(ORACLE_CASES) == 41
-    for pattern, oracle in ORACLE_CASES:
-        assert eta_pattern(table, pattern) == oracle(table), pattern
+    for groups, oracle in ORACLE_CASES.items():
+        assert _pattern(table, *groups) == oracle(table), groups
 
 
 def test_derived_patterns_match_the_listing_on_a_quadrature_table(sn3_table):
-    for pattern, oracle in ORACLE_CASES:
+    for groups, oracle in ORACLE_CASES.items():
         want = oracle(sn3_table)
-        assert abs(eta_pattern(sn3_table, pattern) - want) <= 1e-15 * max(1.0, abs(want)), pattern
+        assert abs(_pattern(sn3_table, *groups) - want) <= 1e-15 * max(1.0, abs(want)), groups
 
 
 def test_every_pattern_term_reads_a_grid_entry():
@@ -149,15 +149,6 @@ def test_every_pattern_term_reads_a_grid_entry():
         assert const in (-2, -1, 0, 1, 2)
         for c, idx in lin:
             assert c != 0 and idx in GRID and idx not in ((0, 0, 0, 0), (0, 0, 1, 0))
-
-
-def test_pattern_rejects_unknown_shapes(normal_table):
-    with pytest.raises(ValueError):
-        eta_pattern(normal_table, "(BBBB)")
-    with pytest.raises(ValueError):
-        eta_pattern(normal_table, "BX")
-    with pytest.raises(ValueError):
-        eta_pattern(normal_table, "(BB")
 
 
 # --- moment reduction -------------------------------------------------------
@@ -232,20 +223,30 @@ def test_l2x_insensitive_to_m2_for_quadratic_models(normal_table, t3_table):
             assert getattr(base, name) == getattr(bumped, name), name
 
 
-def test_geometric_invariants_zero_l_terms():
-    from mlerisk.expansion import LTerms
+def _invariants(lt, p):
+    """The geometric invariants as the derivation defines them from the L terms."""
+    return dict(
+        ffe=2 * lt.l11 + lt.l12 + lt.l13 - 2 * lt.l21 - lt.l23 - lt.l22,
+        tt1=lt.l23,
+        tt2=lt.l24,
+        rre=lt.l14 - lt.l15 + lt.l11 - lt.l12 - lt.l25 + lt.l26 + lt.l22 - lt.l21,
+        aaee1=lt.l14 - lt.l25 - p,
+        aaee2=lt.l15 - lt.l26 - p * p,
+        aaem1=lt.l11 + lt.l14 - lt.l25 - lt.l21,
+        aaem2=lt.l12 + lt.l15 - lt.l26 - lt.l22,
+    )
 
-    zeros = LTerms(*(F(0),) * 11)
-    gi = geometric_invariants(zeros, p=2)
-    assert gi.aaee1 == -2
-    assert gi.aaee2 == -4
-    assert gi.ffe == gi.tt1 == gi.tt2 == gi.rre == gi.aaem1 == gi.aaem2 == 0
+
+def test_geometric_invariants_zero_l_terms():
+    # only aaee1 = -p = -2 and aaee2 = -p^2 = -4 survive: A = B = 0, C = -24
+    assert _q(LTerms(*(F(0),) * 11), 2) == (0, 0, -1)
 
 
 def test_tt1_is_l23(t3_table):
+    """l23 enters q as tt1 and through -l23 in ffe: (0, 1/6, 1/4) per unit."""
     lt = l_terms(t3_table, x_preset("normal", 3))
-    gi = geometric_invariants(lt, 3)
-    assert gi.tt1 == lt.l23
+    bumped = dataclasses.replace(lt, l23=lt.l23 + 1)
+    assert tuple(b - a for a, b in zip(_q(lt, 3), _q(bumped, 3))) == (0, F(1, 6), F(1, 4))
 
 
 # --- assembled expansion: exact reproduction of the published forms ---------
@@ -292,16 +293,15 @@ def test_alpha_prime_origin_matches_q_at_one(normal_table):
     """q(1) must equal the alpha'-bracket at alpha' = 0 divided by 24."""
     mom = x_preset("t", 4)
     exp = risk_expansion(normal_table, mom)
-    lt = l_terms(normal_table, mom)
-    gi = geometric_invariants(lt, 4)
+    gi = _invariants(l_terms(normal_table, mom), 4)
     C = (
-        12 * gi.aaee1
-        - 2 * gi.aaem1
-        - gi.aaem2
-        + gi.tt1
-        + 9 * gi.tt2
-        + 8 * gi.rre
-        - 9 * gi.ffe
+        12 * gi["aaee1"]
+        - 2 * gi["aaem1"]
+        - gi["aaem2"]
+        + gi["tt1"]
+        + 9 * gi["tt2"]
+        + 8 * gi["rre"]
+        - 9 * gi["ffe"]
     )
     assert exp.q(F(1)) == C / 24
 
@@ -355,14 +355,6 @@ def test_validity_n_min(normal_table):
     )
 
 
-def test_evaluate_risk_flags_below_validity(normal_table):
-    exp = risk_expansion(normal_table, x_preset("t", 10))
-    value, below = evaluate_risk(exp, F(-1), exp.validity_n_min - 1)
-    assert below
-    value, below = evaluate_risk(exp, F(-1), exp.validity_n_min)
-    assert not below
-
-
 def test_main_term_dominates_at_large_n(normal_table):
     exp = risk_expansion(normal_table, x_preset("normal", 10))
     assert float(exp.evaluate(-1.0, 10**6)) == pytest.approx(float(exp.main) / 10**6, abs=1e-8)
@@ -414,7 +406,7 @@ def _moment_sources():
 def _direct_q(table, moments):
     """(qa, qb, qc) from one l_terms call on the moments themselves."""
     agg = to_aggregated(moments)
-    return _q_from_invariants(geometric_invariants(l_terms(table, agg), agg.p), agg.p)
+    return _q(l_terms(table, agg), agg.p)
 
 
 def _first_valid_n(p, main, q_ref):

@@ -94,6 +94,8 @@ def test_sim_config_validation():
         _config(x_dist="cauchy")
     with pytest.raises(ValueError):
         _config(n=3, beta=(0.0, 0.0))
+    with pytest.raises(ValueError, match="divergence_sample"):
+        _config(divergence_sample=0)
 
 
 # --- MLE ----------------------------------------------------------------------

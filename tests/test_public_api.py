@@ -26,6 +26,21 @@ def test_every_exported_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_package_surface_is_pinned():
+    """A name added to or dropped from the package surface must be deliberate."""
+    import mlerisk
+
+    assert mlerisk.__all__ == [
+        "AggregatedMoments", "Dataset", "ErrorModel", "EtaTable", "HomogeneousMoments", "IdeResult",
+        "LTerms", "LoadOptions", "MLEFit", "ModelKind", "RiskEstimate", "RiskExpansion", "RssResult",
+        "SimConfig", "StandardizedMatrix", "binomial_risk", "build_eta_table", "coin_equivalent",
+        "custom_error", "divergence", "error_model_from_spec", "estimate_risk", "eta_normal",
+        "eta_quadrature", "eta_t", "ide", "l_terms", "load_csv", "mle_fit", "normal_error",
+        "risk_expansion", "rss", "sample_aggregates", "simulate", "skew_normal_error", "solve_rss_at_k",
+        "standardize", "student_t_error", "to_aggregated", "x_preset",
+    ]
+
+
 def test_perfbench_tracer_targets_resolve(monkeypatch):
     """Every (module, attribute) the benchmark's tracer patches must exist.
 
