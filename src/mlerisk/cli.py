@@ -106,19 +106,16 @@ def _moment_source(args):
         if args.p is None:
             raise ConfigError("--p is required with --aggregated")
         return AggregatedMoments(p=args.p, **kv), {"aggregated": kv, "p": args.p}
-    dataset = load_csv(args.csv, _load_options(args))
-    agg = sample_aggregates(standardize(dataset))
-    return (
-        AggregatedMoments(p=dataset.p, **agg),
-        {"csv": args.csv, "n": dataset.n, "p": dataset.p},
-    )
+    dataset, _, agg = _csv_moments(args)
+    return AggregatedMoments(p=dataset.p, **agg), {"csv": args.csv, "n": dataset.n, "p": dataset.p}
 
 
-def _load_options(args) -> LoadOptions:
+def _csv_moments(args):
+    """Load --csv with the loader options, whiten it: (dataset, whitened, aggregates)."""
     missing = {}  # without --missing, the LoadOptions default holds
     if args.missing is not None:  # '' asks for no missing tokens at all
         missing["missing_tokens"] = tuple(args.missing.split(",")) if args.missing else ()
-    return LoadOptions(
+    options = LoadOptions(
         delimiter=args.delimiter,
         header=not args.no_header,
         drop_columns=tuple(filter(None, (args.drop or "").split(","))),
@@ -126,6 +123,9 @@ def _load_options(args) -> LoadOptions:
         correlation_threshold=args.threshold,
         **missing,
     )
+    dataset = load_csv(args.csv, options)
+    std = standardize(dataset)
+    return dataset, std, sample_aggregates(std)
 
 
 def _expansion_from_args(args):
@@ -152,9 +152,13 @@ def _json_default(obj):
 
 
 def _emit(args, payload) -> None:
-    compact = getattr(args, "compact", False)
-    json.dump(payload, sys.stdout, indent=None if compact else 2, default=_json_default)
+    json.dump(payload, sys.stdout, indent=None if args.compact else 2, default=_json_default)
     sys.stdout.write("\n")
+
+
+def _emit_indicator(args, payload, fields) -> None:
+    """The indicator commands' envelope: their own fields, then alpha and the expansion."""
+    _emit(args, {**fields, "alpha": float(args.alpha), "expansion": payload})
 
 
 def _add_model_and_moments(sub):
@@ -166,6 +170,10 @@ def _add_model_and_moments(sub):
     sub.add_argument("--csv", help="dataset path; moments computed after whitening")
     _add_csv_options(sub)
     sub.add_argument("--tol", type=float, default=1e-10, help="eta quadrature tolerance")
+
+
+def _add_alpha(sub):
+    sub.add_argument("--alpha", type=_parse_number, default=Fraction(-1))
 
 
 def _add_csv_options(sub):
@@ -203,18 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("ide", parents=[common], help="indicator of the difficulty of estimation")
     _add_model_and_moments(sp)
-    sp.add_argument("--alpha", type=_parse_number, default=Fraction(-1))
+    _add_alpha(sp)
 
     sp = subs.add_parser("rss", parents=[common], help="required sample size vs. fair-coin benchmark")
     _add_model_and_moments(sp)
-    sp.add_argument("--alpha", type=_parse_number, default=Fraction(-1))
+    _add_alpha(sp)
     sp.add_argument("--k-start", type=int, default=10)
     sp.add_argument("--k-step", type=int, default=10)
     sp.add_argument("--k-max", type=int, default=1000)
 
     sp = subs.add_parser("coin-equiv", parents=[common], help="fair-coin equivalent of an actual sample size")
     _add_model_and_moments(sp)
-    sp.add_argument("--alpha", type=_parse_number, default=Fraction(-1))
+    _add_alpha(sp)
     sp.add_argument("--n-actual", type=int, required=True)
 
     sp = subs.add_parser("moments", parents=[common], help="aggregated moments of a CSV dataset")
@@ -242,14 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("series", parents=[common], help="risk series over k at n = (p+2) k")
     _add_model_and_moments(sp)
-    sp.add_argument("--alpha", type=_parse_number, default=Fraction(-1))
+    _add_alpha(sp)
     sp.add_argument("--k-min", type=int, default=5)
     sp.add_argument("--k-max", type=int, default=100)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = subs.add_parser("table", parents=[common], help="regenerate the reference indicator tables")
     sp.add_argument("--preset", required=True, choices=("table1", "table2", "table3", "table4", "table5"))
-    sp.add_argument("--alpha", type=_parse_number, default=Fraction(-1))
+    _add_alpha(sp)
     sp.add_argument("--format", choices=("csv", "json"), default="json")
     sp.add_argument("--tol", type=float, default=1e-10)
 
@@ -270,49 +278,29 @@ def _cmd_risk(args):
 def _cmd_ide(args):
     exp, payload = _expansion_from_args(args)
     result = ide(exp, args.alpha)
-    _emit(
-        args,
-        {
-            "ide": "*" if result.no_real_root else round(result.m, 6),
-            "roots": list(result.roots) if result.roots else None,
-            "M": float(result.M) if result.M is not None else None,
-            "alpha": float(args.alpha),
-            "expansion": payload,
-        },
-    )
+    _emit_indicator(args, payload, {
+        "ide": "*" if result.no_real_root else round(result.m, 6),
+        "roots": list(result.roots) if result.roots else None,
+        "M": float(result.M) if result.M is not None else None,
+    })
 
 
 def _cmd_rss(args):
     exp, payload = _expansion_from_args(args)
     result = rss(exp, args.alpha, k_start=args.k_start, k_step=args.k_step, k_max=args.k_max)
-    _emit(
-        args,
-        {
-            "rss": {"n": result.n, "k": result.benchmark_k, "n_unrounded": result.n_unrounded},
-            "alpha": float(args.alpha),
-            "expansion": payload,
-        },
-    )
+    _emit_indicator(args, payload, {
+        "rss": {"n": result.n, "k": result.benchmark_k, "n_unrounded": result.n_unrounded},
+    })
 
 
 def _cmd_coin_equiv(args):
     exp, payload = _expansion_from_args(args)
     n = coin_equivalent(exp, args.alpha, args.n_actual)
-    _emit(
-        args,
-        {
-            "coin_equiv": n,
-            "n_actual": args.n_actual,
-            "alpha": float(args.alpha),
-            "expansion": payload,
-        },
-    )
+    _emit_indicator(args, payload, {"coin_equiv": n, "n_actual": args.n_actual})
 
 
 def _cmd_moments(args):
-    dataset = load_csv(args.csv, _load_options(args))
-    std = standardize(dataset)
-    agg = sample_aggregates(std)
+    dataset, std, agg = _csv_moments(args)
     _emit(
         args,
         {
@@ -398,54 +386,34 @@ def _cmd_series(args):
         _emit(args, {"rows": [list(r) for r in rows], "expansion": payload})
 
 
-_TABLE_ERRORS = {
-    "table1": "normal",
-    "table2": "t:3",
-    "table3": "skew-normal:3",
-}
+_TABLE_ERRORS = {"table1": "normal", "table2": "t:3", "table3": "skew-normal:3"}
 
 
 def _cmd_table(args):
-    rows = []
-    alpha = args.alpha
+    """One row per (label key, label, error spec, moments); each spec's eta table is built once."""
     if args.preset in _TABLE_ERRORS:
-        model = error_model_from_spec(_TABLE_ERRORS[args.preset])
-        table = build_eta_table(model, tol=args.tol)
-        for preset in X_PRESET_NAMES:
-            exp = risk_expansion(table, x_preset(preset, 10), with_error=False)
-            r = rss(exp, alpha)
-            d = ide(exp, alpha)
-            rows.append(
-                {
-                    "x": preset,
-                    "ide": "*" if d.no_real_root else round(d.m, 2),
-                    "rss": r.n,
-                    "benchmark_k": r.benchmark_k,
-                }
-            )
+        spec = _TABLE_ERRORS[args.preset]
+        sources = (("x", name, spec, x_preset(name, 10)) for name in X_PRESET_NAMES)
     else:
         ref = WINE_REFERENCE if args.preset == "table4" else CRIME_REFERENCE
         agg = AggregatedMoments(p=ref["p"], M2a=ref["M2a"], M2b=ref["M2b"], M1=ref["M1"])
-        for spec in ("normal", "t:3", "skew-normal:3"):
-            model = error_model_from_spec(spec)
-            exp = risk_expansion(build_eta_table(model, tol=args.tol), agg, with_error=False)
-            r = rss(exp, alpha)
-            d = ide(exp, alpha)
-            rows.append(
-                {
-                    "error": spec,
-                    "ide": "*" if d.no_real_root else round(d.m, 2),
-                    "rss": r.n,
-                    "benchmark_k": r.benchmark_k,
-                }
-            )
+        sources = (("error", spec, spec, agg) for spec in ("normal", "t:3", "skew-normal:3"))
+    tables, rows = {}, []
+    for key, label, spec, moments in sources:
+        if spec not in tables:
+            tables[spec] = build_eta_table(error_model_from_spec(spec), tol=args.tol)
+        exp = risk_expansion(tables[spec], moments, with_error=False)
+        r = rss(exp, args.alpha)
+        d = ide(exp, args.alpha)
+        ide_m = "*" if d.no_real_root else round(d.m, 2)
+        rows.append({key: label, "ide": ide_m, "rss": r.n, "benchmark_k": r.benchmark_k})
     if args.format == "csv":
         keys = list(rows[0].keys())
         sys.stdout.write(",".join(keys) + "\n")
         for row in rows:
             sys.stdout.write(",".join(str(row[key]) for key in keys) + "\n")
     else:
-        _emit(args, {"preset": args.preset, "alpha": float(alpha), "rows": rows})
+        _emit(args, {"preset": args.preset, "alpha": float(args.alpha), "rows": rows})
 
 
 _COMMANDS = {

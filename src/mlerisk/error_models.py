@@ -119,6 +119,8 @@ def student_t_error(nu) -> ErrorModel:
 def skew_normal_error(b: float) -> ErrorModel:
     """Skew-normal with shape b: f(y) = 2 phi(y) Phi(b y)."""
     b = float(b)
+    if not math.isfinite(b):
+        raise ValueError(f"skew-normal shape b must be finite, got {b}")
 
     def d2(y):
         r = _mills_ratio_inverse(b * y)

@@ -59,8 +59,12 @@ class SimConfig:
     def __post_init__(self):
         if self.x_dist not in X_PRESET_NAMES:
             raise ValueError(f"x_dist must be one of {X_PRESET_NAMES}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not all(map(math.isfinite, self.beta)):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if self.x_dist_param is not None and not math.isfinite(self.x_dist_param):
+            raise ValueError(f"x_dist_param must be finite, got {self.x_dist_param}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.divergence_sample < 1:

@@ -134,6 +134,15 @@ def _pareto_moments(b: Fraction) -> tuple[Fraction, Fraction]:
     return m4, m3sq
 
 
+def _exact_param(param, what: str) -> Fraction:
+    """A t or Pareto preset parameter as an exact rational, 21/5 when not given."""
+    if param is None:
+        return Fraction("4.2")
+    if isinstance(param, float) and not math.isfinite(param):
+        raise ValueError(f"{what} must be finite, got {param}")
+    return Fraction(param)
+
+
 def x_preset(name: str, p: int, param=None) -> HomogeneousMoments:
     """Homogeneous moment summary for one of the reference x distributions."""
     name = name.lower()
@@ -142,7 +151,7 @@ def x_preset(name: str, p: int, param=None) -> HomogeneousMoments:
     if name == "normal":
         return HomogeneousMoments(p=p, m4=Fraction(3), m22=Fraction(1))
     if name == "t":
-        nu = Fraction("4.2") if param is None else Fraction(param)
+        nu = _exact_param(param, "t preset nu")
         if not nu > 4:
             raise ValueError("t preset needs nu > 4 for finite fourth moments")
         m22 = (nu - 2) / (nu - 4)
@@ -150,7 +159,7 @@ def x_preset(name: str, p: int, param=None) -> HomogeneousMoments:
     if name == "controlled":
         return HomogeneousMoments(p=p, m4=Fraction(1), m22=Fraction(1))
     if name == "pareto":
-        b = Fraction("4.2") if param is None else Fraction(param)
+        b = _exact_param(param, "Pareto preset index b")
         m4, m3sq = _pareto_moments(b)
         return HomogeneousMoments(
             p=p, m4=m4, m22=Fraction(1), m3=float(m3sq) ** 0.5, m3_squared=m3sq

@@ -339,3 +339,37 @@ def test_out_of_range_input_is_refused_by_name(capsys, argv, name):
     error = json.loads(err)
     assert error["kind"] == "config"
     assert error["error"].startswith(name)
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["validate", "--sigma", "nan"], "sigma"),
+        (["validate", "--sigma", "inf"], "sigma"),
+        (["validate", "--beta", "nan,0"], "beta"),
+        (["validate", "--xdist", "t", "--xdist-param", "nan"], "t preset nu"),
+        (["validate", "--xdist", "pareto", "--xdist-param", "inf"], "Pareto preset index b"),
+        (["validate", "--p", "0", "--beta", "0", "--xdist", "t", "--xdist-param", "nan"], "x_dist_param"),
+        (["risk", "--error", "skew-normal:nan", "--xpreset", "normal", "--p", "3"], "skew-normal shape b"),
+        (["risk", "--error", "skew-normal:inf", "--xpreset", "normal", "--p", "3"], "skew-normal shape b"),
+    ],
+    ids=["sigma-nan", "sigma-inf", "beta-nan", "t-nu-nan", "pareto-b-inf", "p0-x-param-nan",
+         "skew-normal-nan", "skew-normal-inf"],
+)
+def test_non_finite_parameter_is_refused_before_any_work(capsys, monkeypatch, argv, name):
+    from mlerisk import cli
+
+    def unreachable(*_, **__):
+        raise AssertionError("a refused input reached the simulation or the eta quadrature")
+
+    monkeypatch.setattr(cli, "estimate_risk", unreachable)
+    monkeypatch.setattr(cli, "build_eta_table", unreachable)
+    if argv[0] == "validate":
+        argv = ["validate", "--error", "normal", "--xdist", "normal", "--p", "1", "--n", "50", "--reps", "5",
+                *argv[1:]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["kind"] == "config"
+    assert error["error"].startswith(name)

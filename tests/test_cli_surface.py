@@ -1,0 +1,97 @@
+"""The CLI's frozen output, and the module attributes its library calls go through.
+
+``cli_golden.json`` maps a command line to the exact stdout it must print.
+Every pinned command uses exact arithmetic (normal and t(3) errors, rational
+presets and alpha) or prints rounded indicators, so the strings do not depend
+on the platform.
+
+The benchmark's tracer wraps library functions at the attributes their
+callers look up (``mlerisk.cli.build_eta_table``, ...); a CLI that captured a
+function at import time would run untraced, so the lookups are pinned too.
+"""
+
+import importlib
+import importlib.util
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mlerisk import benchmarks, cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_output_is_byte_identical_to_the_pinned_golden(capsys, command):
+    assert run_cli(capsys, *command.split()) == (0, GOLDEN[command], "")
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses resolve annotations through it
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr, *_ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+CLI_LIBRARY_CALLS = (
+    "error_model_from_spec", "build_eta_table", "risk_expansion", "rss", "ide",
+    "coin_equivalent", "load_csv", "standardize", "sample_aggregates",
+)
+MODEL = ("error_model_from_spec", "build_eta_table", "risk_expansion")
+DATA = ("load_csv", "standardize", "sample_aggregates")
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["table", "--preset", "table1"],
+         {"error_model_from_spec": 1, "build_eta_table": 1, "risk_expansion": 4, "rss": 4, "ide": 4}),
+        (["table", "--preset", "table5", "--format", "csv"],
+         {"error_model_from_spec": 3, "build_eta_table": 3, "risk_expansion": 3, "rss": 3, "ide": 3}),
+        (["ide", "--error", "t:3", "--xpreset", "t", "--p", "4"], {**dict.fromkeys(MODEL, 1), "ide": 1}),
+        (["rss", "--error", "normal", "--xpreset", "normal", "--p", "4"], {**dict.fromkeys(MODEL, 1), "rss": 1}),
+        (["coin-equiv", "--error", "normal", "--xpreset", "pareto", "--p", "4", "--n-actual", "500"],
+         {**dict.fromkeys(MODEL, 1), "coin_equivalent": 1}),
+        (["moments", "{csv}"], dict.fromkeys(DATA, 1)),
+        (["risk", "--error", "normal", "--csv", "{csv}"], dict.fromkeys(MODEL + DATA, 1)),
+        (["series", "--error", "normal", "--xpreset", "normal", "--p", "4", "--k-max", "9"],
+         {**dict.fromkeys(MODEL, 1), "binomial_risk": 5}),
+    ],
+    ids=["table1", "table5", "ide", "rss", "coin-equiv", "moments", "risk-csv", "series"],
+)
+def test_library_calls_go_through_module_attributes(tmp_path, capsys, monkeypatch, argv, expected):
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in CLI_LIBRARY_CALLS:
+        counting(cli, name)
+    if argv[0] == "series":  # series imports it from mlerisk.benchmarks when it runs
+        counting(benchmarks, "binomial_risk")
+    rows = np.random.default_rng(1).standard_normal((40, 3))
+    path = tmp_path / "x.csv"
+    path.write_text("a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    code, _, err = run_cli(capsys, *(arg.format(csv=path) for arg in argv))
+    assert (code, err) == (0, "")
+    assert dict(calls) == expected

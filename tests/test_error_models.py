@@ -170,6 +170,9 @@ def test_error_model_from_spec():
         error_model_from_spec("cauchy")
     with pytest.raises(ValueError):
         error_model_from_spec("t")
+    for shape in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="skew-normal shape b must be finite"):
+            error_model_from_spec(f"skew-normal:{shape}")
 
 
 def test_custom_density_tails_raise_no_numeric_warnings():

@@ -165,6 +165,13 @@ def test_parameterless_preset_refuses_a_parameter(name):
         x_preset(name, 3, "5")
 
 
+@pytest.mark.parametrize("name,what", [("t", "t preset nu"), ("pareto", "Pareto preset index b")])
+@pytest.mark.parametrize("param", [float("nan"), float("inf")])
+def test_parameterised_preset_refuses_a_non_finite_parameter(name, what, param):
+    with pytest.raises(ValueError, match=f"{what} must be finite"):
+        x_preset(name, 3, param)
+
+
 def test_to_aggregated_zero_moments():
     agg = to_aggregated(HomogeneousMoments(p=7, m4=F(1), m22=F(0)))
     assert (agg.M2a, agg.M2b, agg.M1) == (0, 0, 7)

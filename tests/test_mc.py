@@ -96,6 +96,13 @@ def test_sim_config_validation():
         _config(n=3, beta=(0.0, 0.0))
     with pytest.raises(ValueError, match="divergence_sample"):
         _config(divergence_sample=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            _config(sigma=bad)
+        with pytest.raises(ValueError, match="beta"):
+            _config(beta=(0.0, bad))
+        with pytest.raises(ValueError, match="x_dist_param"):
+            _config(x_dist="t", x_dist_param=bad)
 
 
 # --- MLE ----------------------------------------------------------------------
