@@ -56,6 +56,14 @@ class LoadOptions:
     missing_strategy: str = "drop_rows"
     correlation_threshold: float = 0.99
 
+    def __post_init__(self):
+        if len(self.delimiter) != 1:
+            raise DataError(f"delimiter must be a single character, got {self.delimiter!r}")
+        if self.missing_strategy not in ("drop_rows", "drop_columns"):
+            raise DataError(f"unknown missing_strategy {self.missing_strategy!r}")
+        if not 0 <= self.correlation_threshold <= 1:
+            raise DataError(f"correlation_threshold must be in [0, 1], got {self.correlation_threshold}")
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -95,11 +103,12 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
     ``options.missing_tokens``; every other kept token becomes ``float`` of
     its stripped text.
     """
-    if len(options.delimiter) != 1:
-        raise DataError(f"delimiter must be a single character, got {options.delimiter!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=options.delimiter)
-        raw = [row for row in reader if row]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            raw = [row for row in csv.reader(fh, delimiter=options.delimiter) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"{path}: cannot read: {reason}") from None
     if not raw:
         raise DataError(f"{path}: empty file")
     if options.header:
@@ -116,9 +125,6 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
                 f"{path}: line {_record_line(path, options, skip + r)}: "
                 f"expected {width} fields, found {len(row)}"
             )
-
-    if options.missing_strategy not in ("drop_rows", "drop_columns"):
-        raise DataError(f"unknown missing_strategy {options.missing_strategy!r}")
 
     unknown = [name for name in options.drop_columns if name not in names]
     if unknown:

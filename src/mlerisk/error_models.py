@@ -26,6 +26,7 @@ from scipy import special as _sp
 
 from ._quadrature import integrate_real_line
 from .expr import parse_density_file
+from .moments import _exact_param
 
 __all__ = [
     "ModelKind",
@@ -98,8 +99,8 @@ def student_t_error(nu) -> ErrorModel:
     """Student t with nu degrees of freedom (nu > 0, kept exact if rational)."""
     nu_exact = Fraction(nu) if not isinstance(nu, float) else nu
     nu_f = float(nu)
-    if nu_f <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    if not 0 < nu_f < math.inf:
+        raise ValueError(f"t degrees of freedom nu must be positive and finite, got {nu_f}")
     log_c = (
         math.lgamma((nu_f + 1) / 2) - math.lgamma(nu_f / 2) - 0.5 * math.log(math.pi * nu_f)
     )
@@ -234,14 +235,19 @@ def error_model_from_spec(spec: str) -> ErrorModel:
         if not arg:
             raise ValueError("t error model needs degrees of freedom, e.g. t:3")
         # Fraction("4.2") == 21/5, keeping the closed-form eta table exact.
-        return student_t_error(Fraction(arg))
+        return student_t_error(_exact_param(arg, "t degrees of freedom nu"))
     if name in ("skew-normal", "sn"):
         if not arg:
             raise ValueError("skew-normal error model needs a shape, e.g. skew-normal:3")
-        return skew_normal_error(float(arg))
+        return skew_normal_error(_exact_param(arg, "skew-normal shape b"))
     if name == "custom":
         if not arg:
             raise ValueError("custom error model needs a file path, e.g. custom:density.txt")
-        with open(arg, "r", encoding="utf-8") as fh:
-            return custom_error(fh.read(), label=f"custom:{arg}")
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ValueError(f"{arg}: cannot read the density file: {reason}") from None
+        return custom_error(text, label=f"custom:{arg}")
     raise ValueError(f"unknown error model {spec!r}")

@@ -277,96 +277,61 @@ def _neg_entropy(model: ErrorModel) -> float:
 
 _START_LEVEL = 2
 _MAX_LEVEL = 10
+_TOL = 1e-9  # absolute; certifies each quadrature and each Chebyshev profile
 
 
-def _refined_batch(weighted_row_sum, tol, m):
+def _refined_batch(weighted_row_sum):
     """Run the trapezoidal refinement I_L = I_{L-1}/2 + (new terms).
 
     ``weighted_row_sum(u, w)`` returns the weighted integrand summed over the
-    node axis, shape (m,).  Returns (values, per-element certified mask).
+    node axis.  Returns (values, per-element certified mask).
     """
-    total = None
-    err = None
-    for level in range(_START_LEVEL, _MAX_LEVEL + 1):
-        if level == _START_LEVEL:
-            u, w = _cached_nodes_weights(level)
-        else:
-            u, w = _cached_new_nodes_weights(level)
-        contrib = weighted_row_sum(u, w)
-        if total is None:
-            total = contrib
-        else:
-            prev = total
-            total = total / 2.0 + contrib
-            err = np.abs(total - prev)
-            if err.max() <= tol:
-                return total, np.ones(m, dtype=bool)
-    if err is None:
-        err = np.full(m, np.inf)
-    return total, err <= tol
+    total = weighted_row_sum(*_cached_nodes_weights(_START_LEVEL))
+    for level in range(_START_LEVEL + 1, _MAX_LEVEL + 1):
+        prev, total = total, total / 2.0 + weighted_row_sum(*_cached_new_nodes_weights(level))
+        err = np.abs(total - prev)
+        if err.max() <= _TOL:
+            break
+    return total, err <= _TOL
 
 
-def _divergence_profile(model, deltas, s1, s2, alpha, tol=1e-9):
+def _divergence_profile(model, deltas, s1, s2, alpha):
     """Per-location-shift divergence values, vectorized over deltas.
 
     The regression densities at a fixed regressor differ only by a location
     shift delta and the two scales, so each per-x divergence is the 1-D
-    integral of a shifted/scaled density pair.  The h(x) factor cancels
-    identically inside the integrand.
+    integral of f(u)^lo f(v)^hi (KL: f(u) log f(v)), v = (u s1 + delta)/s2;
+    the h(x) factor cancels.  alpha = 1 is KL mirrored, D_1(p||q) = D_-1(q||p).
     """
     deltas = np.asarray(deltas, dtype=float)
-    m = deltas.size
-
-    if alpha == -1.0 or alpha == 1.0:
-        # KL (alpha = -1) integrates against the first argument's density.
-        if alpha == -1.0:
-            base_scale, other_scale, shift_sign = s1, s2, 1.0
-            const = math.log(s2 / s1)
-        else:
-            base_scale, other_scale, shift_sign = s2, s1, -1.0
-            const = math.log(s1 / s2)
-
-        def row_sum(u, w):
-            fw = model.pdf(u) * w
-            keep = np.abs(fw) > 1e-18  # dropped mass * |log f| is << tol
-            if not keep.any():
-                return np.zeros(m)
-            v = (u[keep][None, :] * base_scale + shift_sign * deltas[:, None]) / other_scale
-            lg = model.log_pdf(v)
-            lg[~np.isfinite(lg)] = 0.0  # underflowed tail of the other density
-            return lg @ fw[keep]
-
-        vals, ok = _refined_batch(row_sum, tol, m)
-        out = const + _neg_entropy(model) - vals
-        return out, ok
-
-    half_lo = (1.0 - alpha) / 2.0
-    half_hi = (1.0 + alpha) / 2.0
+    if alpha == 1.0:
+        s1, s2, deltas, alpha = s2, s1, -deltas, -1.0
+    kl = alpha == -1.0
+    lo, hi = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
 
     def row_sum(u, w):
-        lf = model.log_pdf(u)
-        # A negative exponent overflows to inf in the far tails; such columns
-        # are dropped, and such values of the other factor zeroed, below.
-        with np.errstate(over="ignore"):
-            base = np.exp(half_lo * lf) * w
-        if half_lo > 0 and half_hi > 0:
-            # both factors bounded: negligible-weight columns can be dropped
-            keep = np.abs(base) > 1e-18
+        # Negligible-weight columns go while the other factor is bounded (KL: dropped
+        # mass * |log f| << tol); a negative exponent overflows, so keep what is finite.
+        if kl:
+            base = model.pdf(u) * w
         else:
-            # a negative exponent makes the other factor unbounded; keep all
-            keep = np.isfinite(base)
-        if not keep.any():
-            return np.zeros(m)
+            lf = model.log_pdf(u)
+            with np.errstate(over="ignore"):
+                base = np.exp(lo * lf) * w
+        keep = np.abs(base) > 1e-18 if lo > 0 and hi >= 0 else np.isfinite(base)
         v = (u[keep][None, :] * s1 + deltas[:, None]) / s2
-        with np.errstate(over="ignore"):
-            g = np.exp(half_hi * model.log_pdf(v))
-        g[~np.isfinite(g)] = 0.0
+        if kl:
+            g = model.log_pdf(v)
+        else:
+            with np.errstate(over="ignore"):
+                g = np.exp(hi * model.log_pdf(v))
+        g[~np.isfinite(g)] = 0.0  # underflowed tail of the other density
         return g @ base[keep]
 
-    vals, ok = _refined_batch(row_sum, tol, m)
-    j = (s1 / s2) ** half_hi * vals
-    out = 4.0 / (1.0 - alpha * alpha) * (1.0 - j)
-    return out, ok
+    vals, ok = _refined_batch(row_sum)
+    if kl:
+        return math.log(s2 / s1) + _neg_entropy(model) - vals, ok
+    return 4.0 / (1.0 - alpha * alpha) * (1.0 - (s1 / s2) ** hi * vals), ok
 
 
 # Chebyshev-Lobatto profile sizes: the first certification compares the
@@ -395,13 +360,13 @@ def _cheb_coefficients(values):
     return coeffs
 
 
-def _certified_profile(profile, lo, hi, tol):
+def _certified_profile(profile, lo, hi):
     """Chebyshev coefficients of D on [lo, hi], or None if not certified.
 
     ``profile(deltas)`` returns (values, certified mask).  The N-interval
     interpolant is checked against the values at the N new nodes of the
-    2N-interval grid; once they agree to ``tol`` (and every node's
-    quadrature certified ``tol``) the 2N interpolant is returned.  N doubles
+    2N-interval grid; once they agree to ``_TOL`` (and every node's
+    quadrature is certified) the 2N interpolant is returned.  N doubles
     from ``_CHEB_FIRST``, reusing the values already computed, up to
     ``_CHEB_CAP`` intervals.
     """
@@ -413,18 +378,18 @@ def _certified_profile(profile, lo, hi, tol):
         new, ok = profile(mid + half * t_new)
         merged = np.empty(2 * n_intervals + 1)
         merged[0::2], merged[1::2] = values, new
-        if ok.all() and np.max(np.abs(chebval(t_new, _cheb_coefficients(values)) - new)) <= tol:
+        if ok.all() and np.max(np.abs(chebval(t_new, _cheb_coefficients(values)) - new)) <= _TOL:
             return _cheb_coefficients(merged)
         values, n_intervals = merged, 2 * n_intervals
     return None
 
 
-def divergence(model, theta1, theta2, alpha, x_sample, tol: float = 1e-9):
+def divergence(model, theta1, theta2, alpha, x_sample):
     """Mean alpha-divergence between two fitted regressions over an x sample.
 
     ``theta1``/``theta2`` are (beta, sigma) pairs; for the risk, theta1 is
     the fitted parameter and theta2 the truth.  Returns (value, number of
-    x points whose divergence failed to certify ``tol``).
+    x points whose divergence failed to certify to 1e-9).
 
     Each per-x divergence depends on x only through the shift delta between
     the two regression means.  With few distinct deltas they are integrated
@@ -443,12 +408,12 @@ def divergence(model, theta1, theta2, alpha, x_sample, tol: float = 1e-9):
     alpha = float(alpha)
 
     def profile(ds):
-        return _divergence_profile(model, ds, s1, s2, alpha, tol=tol)
+        return _divergence_profile(model, ds, s1, s2, alpha)
 
     uniq, counts = np.unique(deltas, return_counts=True)
     if uniq.size > 2 * _CHEB_FIRST + 1:
         lo, hi = uniq[0], uniq[-1]
-        coeffs = _certified_profile(profile, lo, hi, tol)
+        coeffs = _certified_profile(profile, lo, hi)
         if coeffs is not None:
             t = np.clip((2.0 * deltas - (hi + lo)) / (hi - lo), -1.0, 1.0)
             return float(np.mean(chebval(t, coeffs))), 0

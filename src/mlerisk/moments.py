@@ -135,12 +135,20 @@ def _pareto_moments(b: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def _exact_param(param, what: str) -> Fraction:
-    """A t or Pareto preset parameter as an exact rational, 21/5 when not given."""
+    """A model or preset parameter as an exact rational, 21/5 when not given.
+
+    ``param`` is a number or its text ('3', '4.2', '8129/21').  NaN, an
+    infinity, a zero denominator, a value beyond the range of a double and
+    text that is no number are all refused, naming ``what``.
+    """
     if param is None:
         return Fraction("4.2")
-    if isinstance(param, float) and not math.isfinite(param):
-        raise ValueError(f"{what} must be finite, got {param}")
-    return Fraction(param)
+    try:
+        value = Fraction(param)
+        float(value)  # raises OverflowError beyond the range of a double
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{what} must be finite (a number such as 3, 4.2 or 21/5), got {param!r}") from None
+    return value
 
 
 def x_preset(name: str, p: int, param=None) -> HomogeneousMoments:

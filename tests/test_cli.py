@@ -352,9 +352,19 @@ def test_out_of_range_input_is_refused_by_name(capsys, argv, name):
         (["validate", "--p", "0", "--beta", "0", "--xdist", "t", "--xdist-param", "nan"], "x_dist_param"),
         (["risk", "--error", "skew-normal:nan", "--xpreset", "normal", "--p", "3"], "skew-normal shape b"),
         (["risk", "--error", "skew-normal:inf", "--xpreset", "normal", "--p", "3"], "skew-normal shape b"),
+        (["risk", "--error", "skew-normal:1/0", "--xpreset", "normal", "--p", "3"], "skew-normal shape b"),
+        (["risk", "--error", "t:1/0", "--xpreset", "normal", "--p", "3"], "t degrees of freedom nu"),
+        (["risk", "--error", "t:nan", "--xpreset", "normal", "--p", "3"], "t degrees of freedom nu"),
+        (["risk", "--error", "t:inf", "--xpreset", "normal", "--p", "3"], "t degrees of freedom nu"),
+        (["risk", "--error", "normal", "--xpreset", "t:1/0", "--p", "3"], "t preset nu"),
+        (["risk", "--error", "normal", "--xpreset", "t:nan", "--p", "3"], "t preset nu"),
+        (["risk", "--error", "normal", "--xpreset", "pareto:1/0", "--p", "3"], "Pareto preset index b"),
+        (["validate", "--error", "t:nan"], "t degrees of freedom nu"),
     ],
     ids=["sigma-nan", "sigma-inf", "beta-nan", "t-nu-nan", "pareto-b-inf", "p0-x-param-nan",
-         "skew-normal-nan", "skew-normal-inf"],
+         "skew-normal-nan", "skew-normal-inf", "skew-normal-zero-denominator", "error-t-zero-denominator",
+         "error-t-nan", "error-t-inf", "xpreset-t-zero-denominator", "xpreset-t-nan",
+         "xpreset-pareto-zero-denominator", "validate-error-t-nan"],
 )
 def test_non_finite_parameter_is_refused_before_any_work(capsys, monkeypatch, argv, name):
     from mlerisk import cli
@@ -373,3 +383,35 @@ def test_non_finite_parameter_is_refused_before_any_work(capsys, monkeypatch, ar
     error = json.loads(err)
     assert error["kind"] == "config"
     assert error["error"].startswith(name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "{missing}"],
+        ["moments", "{directory}"],
+        ["risk", "--error", "normal", "--csv", "{missing}"],
+        ["eta", "dump", "--error", "custom:{missing}"],
+        ["eta", "dump", "--error", "custom:{directory}"],
+    ],
+    ids=["moments-missing", "moments-directory", "risk-csv-missing", "custom-missing", "custom-directory"],
+)
+def test_unreadable_input_file_is_config_error(tmp_path, capsys, argv):
+    paths = {"missing": str(tmp_path / "absent.csv"), "directory": str(tmp_path)}
+    argv = [a.format(**paths) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["kind"] == "config"
+    assert error["error"].startswith(argv[-1].removeprefix("custom:") + ": cannot read")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-0.5", "2"])
+def test_correlation_threshold_outside_the_unit_interval_is_config_error(tmp_path, capsys, threshold):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,2\n3,5\n4,4\n2,7\n5,1\n")
+    code, out, err = run_cli(capsys, "moments", str(path), "--threshold", threshold)
+    assert code == 2
+    assert out == ""
+    assert "correlation_threshold" in json.loads(err)["error"]

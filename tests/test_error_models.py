@@ -166,13 +166,23 @@ def test_error_model_from_spec():
     assert error_model_from_spec("normal").label == "normal"
     assert float(error_model_from_spec("t:4.2").param) == pytest.approx(4.2)
     assert error_model_from_spec("skew-normal:3").param == 3.0
+    # both families parse through one exact-rational reader
+    assert error_model_from_spec("skew-normal:4.2").param == 4.2
+    assert error_model_from_spec("skew-normal:-1/3").param == -1 / 3
     with pytest.raises(ValueError):
         error_model_from_spec("cauchy")
     with pytest.raises(ValueError):
         error_model_from_spec("t")
-    for shape in ("nan", "inf", "-inf"):
-        with pytest.raises(ValueError, match="skew-normal shape b must be finite"):
-            error_model_from_spec(f"skew-normal:{shape}")
+    for family, name in (("skew-normal", "skew-normal shape b"), ("t", "t degrees of freedom nu")):
+        for param in ("nan", "inf", "-inf", "1/0", "1e400", "three"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                error_model_from_spec(f"{family}:{param}")
+
+
+@pytest.mark.parametrize("nu", [0, -1.5, math.inf, math.nan])
+def test_student_t_refuses_nu_outside_the_positive_reals(nu):
+    with pytest.raises(ValueError, match="^t degrees of freedom nu must be positive and finite"):
+        student_t_error(nu)
 
 
 def test_custom_density_tails_raise_no_numeric_warnings():

@@ -301,10 +301,13 @@ def test_divergence_averages_over_x():
 def test_divergence_duality():
     xs = np.empty((1, 0))
     t1, t2 = (np.array([0.2]), 1.1), (np.array([0.0]), 0.9)
-    for alpha in (0.0, 0.5, 3.0):
+    for alpha in (0.0, 0.5, 3.0, 1.0, -1.0):
         v1, _ = divergence(student_t_error(3), t1, t2, alpha, xs)
         v2, _ = divergence(student_t_error(3), t2, t1, -alpha, xs)
-        assert v1 == pytest.approx(v2, abs=1e-8)
+        if abs(alpha) == 1.0:  # alpha = 1 runs as the mirrored KL itself
+            assert v1 == v2
+        else:
+            assert v1 == pytest.approx(v2, abs=1e-8)
 
 
 def test_divergence_hellinger_against_quadpack():
@@ -348,16 +351,16 @@ def test_chebyshev_divergence_matches_per_delta(monkeypatch, x_dist, model, alph
     b1, s1 = np.array([0.015, 0.03, -0.024, 0.036]), 1.05
     b2, s2 = np.zeros(4), 1.0
     sizes, direct = _profile_sizes(monkeypatch)
-    value, fails = divergence(model, (b1, s1), (b2, s2), alpha, xs, tol=tol)
+    value, fails = divergence(model, (b1, s1), (b2, s2), alpha, xs)
     assert fails == 0
     assert max(sizes) <= mc._CHEB_CAP + 1  # certified on the grid, no fallback
 
     deltas = b1[0] + xs @ b1[1:]
-    per_x, ok = direct(model, deltas, s1, s2, alpha, tol=tol)
+    per_x, ok = direct(model, deltas, s1, s2, alpha)
     assert ok.all()
     assert abs(value - float(np.mean(per_x))) <= 2 * tol
     lo, hi = deltas.min(), deltas.max()
-    coeffs = mc._certified_profile(lambda d: direct(model, d, s1, s2, alpha, tol=tol), lo, hi, tol)
+    coeffs = mc._certified_profile(lambda d: direct(model, d, s1, s2, alpha), lo, hi)
     t = (2.0 * deltas - (hi + lo)) / (hi - lo)
     assert np.max(np.abs(np.polynomial.chebyshev.chebval(t, coeffs) - per_x)) <= 2 * tol
 
