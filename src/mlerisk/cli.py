@@ -48,6 +48,13 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line usage errors raise ConfigError, so they reach stderr as JSON."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parse_number(text: str):
     """Exact rational when possible ('-1', '4.2', '8129/21'), float otherwise."""
     try:
@@ -195,14 +202,14 @@ def _add_csv_options(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlerisk",
         description="Second-order estimation-risk expansions and sample-size indicators "
         "for regression models under alpha-divergence.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--compact", action="store_true", help="single-line JSON output")
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = subs.add_parser("risk", parents=[common], help="assemble the risk expansion")
     _add_model_and_moments(sp)
@@ -343,10 +350,9 @@ def _cmd_validate(args):
         x_dist_param=args.xdist_param,
         divergence_sample=args.divergence_sample,
     )
-    est = estimate_risk(config)
-    table = build_eta_table(model, tol=args.tol)
-    exp = risk_expansion(table, moments, with_error=False)
+    exp = risk_expansion(build_eta_table(model, tol=args.tol), moments, with_error=False)
     expansion_value = float(exp.evaluate(args.alpha, args.n))
+    est = estimate_risk(config)
     z = None
     if est.std_error:
         z = (est.mean - expansion_value) / est.std_error
@@ -430,9 +436,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         alpha = getattr(args, "alpha", None)
         if alpha is not None and not -math.inf < alpha < math.inf:
             raise ConfigError(f"--alpha must be finite, got {alpha}")

@@ -17,6 +17,8 @@ order).  That constraint also characterises the integrals that converge for
 every t(nu), nu > 0 -- the unconstrained rectangle would contain plain
 moments like E[y^4] that diverge for nu <= 4 -- so the table grid is the
 rectangle 0<=i<=1, 0<=j<=2, 0<=k<=4, 0<=l<=4 intersected with it.
+``eta_normal``, ``eta_t`` and ``eta_quadrature`` take grid indices only;
+any other index raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "EtaMethod",
     "EtaEntry",
     "EtaTable",
-    "EtaDivergenceError",
     "EtaTableError",
     "eta_normal",
     "eta_t",
@@ -53,10 +54,7 @@ GRID: tuple[tuple[int, int, int, int], ...] = tuple(
     for l in range(5)
     if l <= 3 * i + 2 * j + k
 )
-
-
-class EtaDivergenceError(ArithmeticError):
-    """A requested moment integral diverges for the given model."""
+_GRID_SET = frozenset(GRID)
 
 
 class EtaTableError(RuntimeError):
@@ -160,16 +158,14 @@ def _double_factorial(n: int) -> int:
 def eta_normal(i: int, j: int, k: int, l: int) -> Fraction:
     """Closed form for the standard normal error."""
     _check_indices(i, j, k, l)
-    if i >= 1:
-        return Fraction(0)
-    if (k + l) % 2 == 1:
+    if i or (k + l) % 2:
         return Fraction(0)
     return Fraction((-1) ** (j + k) * _double_factorial(k + l - 1))
 
 
 def _check_indices(i, j, k, l):
-    if not (0 <= i <= 1 and 0 <= j <= 2 and 0 <= k <= 4 and 0 <= l <= 4):
-        raise ValueError(f"indices out of range: ({i},{j},{k},{l})")
+    if (i, j, k, l) not in _GRID_SET:
+        raise ValueError(f"eta[{i},{j},{k},{l}] is outside the table grid")
 
 
 def _prefix_products(start, step):
@@ -199,15 +195,16 @@ def _student_t_eta(nu):
 
     where A0 = (i+k+l)/2, D0 = m - A0, U(m) = prod_{r<m} (P+Q+2rQ) is
     Gamma((nu+1)/2) / Gamma((nu+1)/2 + m) up to powers of 2Q, and R(D) =
-    prod_{r<D} (P+2rQ) is Gamma(nu/2 + D) / Gamma(nu/2) likewise (for D < 0,
-    1 / prod_{r=1}^{-D} (P-2rQ)).  R and U are prefix products shared by all
-    entries, so an entry costs a few integer products and one normalisation:
-    a ``Fraction`` for rational nu.  A float nu is taken at its exact binary
-    value P/Q and its entries are the integer ratios rounded once to float,
-    i.e. the correctly rounded values of the exact moments at that nu.
+    prod_{r<D} (P+2rQ) is Gamma(nu/2 + D) / Gamma(nu/2) likewise.  R and U
+    are prefix products shared by all entries, so an entry costs a few
+    integer products and one normalisation: a ``Fraction`` for rational nu.
+    A float nu is taken at its exact binary value P/Q and its entries are the
+    integer ratios rounded once to float, i.e. the correctly rounded values
+    of the exact moments at that nu.
 
-    Raises :class:`EtaDivergenceError` when a term's integral diverges
-    (a >= nu + b, i.e. P + 2DQ <= 0); on the table grid D >= 0 always.
+    Only grid indices are asked for, where l <= 3i+2j+k gives every shift
+    D = D0 - u >= D0 - (i+j) = (3i+2j+k-l)/2 >= 0: R(D) is a plain product
+    and each tail integral converges (P + 2DQ > 0) for every nu > 0.
     """
     nu = Fraction(nu) if isinstance(nu, (int, Fraction)) else float(nu)
     if not 0 < nu < math.inf:
@@ -223,25 +220,10 @@ def _student_t_eta(nu):
         m = 3 * i + 2 * j + k
         A0 = (i + k + l) // 2
         D0 = m - A0
-        for u in range(i + j + 1):
-            if not P + 2 * (D0 - u) * Q > 0:
-                raise EtaDivergenceError(
-                    f"moment diverges: H({2 * (A0 + u)}, nu+{2 * m}) requires a < b (nu={nu})"
-                )
-        # Negative shifts put prod_{r=1}^{n} (P-2rQ) in every term's denominator;
-        # the check above keeps each of its factors positive.
-        n = max(0, i + j - D0)
-        falling = math.prod(P - 2 * r * Q for r in range(1, n + 1))
         total = 0
         for s in range(i + 1):
             for t in range(j + 1):
                 u = s + t
-                D = D0 - u
-                shift = (
-                    rising(D) * falling
-                    if D >= 0
-                    else math.prod(P - 2 * r * Q for r in range(1 - D, n + 1))
-                )
                 total += (
                     (-1) ** u
                     * 3 ** (i - s)
@@ -249,10 +231,10 @@ def _student_t_eta(nu):
                     * math.comb(j, t)
                     * _double_factorial(2 * (A0 + u) - 1)
                     * Q**u
-                    * shift
+                    * rising(D0 - u)
                 )
         num = (-1) ** (j + k) * 2**i * (P + Q) ** (i + j + k) * Q**i * total
-        den = upper(m) * falling
+        den = upper(m)
         p_power = A0 - 2 * i - j - k
         if p_power >= 0:
             num *= P**p_power
@@ -264,11 +246,7 @@ def _student_t_eta(nu):
 
 
 def eta_t(i: int, j: int, k: int, l: int, nu):
-    """Closed form for the t(nu) error; exact when nu is rational.
-
-    Raises :class:`EtaDivergenceError` when any contributing tail integral
-    diverges (possible only off the table grid).
-    """
+    """Closed form for the t(nu) error; exact when nu is rational."""
     _check_indices(i, j, k, l)
     return _student_t_eta(nu)(i, j, k, l)
 
@@ -317,19 +295,11 @@ def build_eta_table(model: ErrorModel, tol: float = 1e-10) -> EtaTable:
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     entries: dict[tuple[int, int, int, int], EtaEntry] = {}
-    if model.kind is ModelKind.NORMAL:
+    if model.kind in (ModelKind.NORMAL, ModelKind.STUDENT_T):
+        eta = eta_normal if model.kind is ModelKind.NORMAL else _student_t_eta(model.param)
         for idx in GRID:
-            entries[idx] = EtaEntry(eta_normal(*idx), Fraction(0), EtaMethod.CLOSED_FORM)
-        exact = True
-    elif model.kind is ModelKind.STUDENT_T:
-        eta = _student_t_eta(model.param)
-        for idx in GRID:
-            try:
-                value = eta(*idx)
-            except EtaDivergenceError as exc:
-                raise EtaTableError(f"eta{list(idx)} for {model!r}: {exc}") from exc
-            zero = Fraction(0) if isinstance(value, Fraction) else 0.0
-            entries[idx] = EtaEntry(value, zero, EtaMethod.CLOSED_FORM)
+            value = eta(*idx)
+            entries[idx] = EtaEntry(value, type(value)(0), EtaMethod.CLOSED_FORM)
         exact = isinstance(entries[(0, 0, 0, 0)].value, Fraction)
     else:
         for idx in GRID:

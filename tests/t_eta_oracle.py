@@ -10,7 +10,9 @@ terms are summed one by one.  It is slow, shares no code with
 import math
 from fractions import Fraction
 
-from mlerisk.eta import EtaDivergenceError
+
+class EtaDivergenceError(ArithmeticError):
+    """A requested moment integral diverges for the given nu."""
 
 
 def _double_factorial(n: int) -> int:

@@ -415,3 +415,53 @@ def test_correlation_threshold_outside_the_unit_interval_is_config_error(tmp_pat
     assert code == 2
     assert out == ""
     assert "correlation_threshold" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "inf"])
+def test_validate_checks_the_eta_tolerance_before_the_simulation(capsys, monkeypatch, tol):
+    from mlerisk import cli
+
+    def unreachable(*_, **__):
+        raise AssertionError("an invalid --tol reached the Monte-Carlo run")
+
+    monkeypatch.setattr(cli, "estimate_risk", unreachable)
+    code, out, err = run_cli(
+        capsys, "validate", "--error", "normal", "--xdist", "normal", "--p", "1", "--n", "50",
+        "--reps", "3000", "--tol", tol,
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["kind"] == "config"
+    assert error["error"].startswith("tol must be positive and finite")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["risk", "--error", "normal", "--xpreset", "normal", "--p", "abc"],
+         "argument --p: invalid int value: 'abc'"),
+        (["validate", "--error", "normal", "--xdist", "t", "--xdist-param", "1/0", "--p", "1", "--n", "50",
+          "--reps", "2"], "argument --xdist-param: invalid float value: '1/0'"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+        (["risk", "--xpreset", "normal", "--p", "3"], "the following arguments are required: --error"),
+    ],
+    ids=["p-not-an-int", "xdist-param-zero-denominator", "unknown-subcommand", "missing-error"],
+)
+def test_command_line_usage_error_is_a_json_config_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["kind"] == "config"
+    assert error["error"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["validate", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: mlerisk")
+    assert captured.err == ""

@@ -8,7 +8,6 @@ import pytest
 from mlerisk.error_models import normal_error, skew_normal_error, student_t_error
 from mlerisk.eta import (
     GRID,
-    EtaDivergenceError,
     EtaMethod,
     build_eta_table,
     eta_normal,
@@ -18,8 +17,6 @@ from mlerisk.eta import (
 from sample_oracles import eta_monte_carlo
 from t_eta_oracle import eta_t_oracle
 
-# nu = 4 and nu = 6 put a pole of Gamma(nu/2 + D) / Gamma(nu/2) at an
-# off-grid negative shift D; the divergence check must fire before it forms.
 EXACT_NUS = [
     Fraction(1, 2), 1, 2, Fraction(5, 2), 3, Fraction(7, 2), 4,
     Fraction(21, 5), Fraction(9, 2), 5, 6, Fraction(13, 2), Fraction(101, 7), 30,
@@ -31,6 +28,14 @@ def test_grid_constraint():
     assert all(l <= 3 * i + 2 * j + k for (i, j, k, l) in GRID)
     assert (0, 0, 2, 0) in GRID and (1, 0, 1, 4) in GRID and (0, 2, 0, 4) in GRID
     assert (0, 0, 0, 4) not in GRID  # a bare fourth moment diverges for t(3)
+
+
+def test_grid_gamma_shifts_are_non_negative():
+    """On the grid every t Gamma shift D0 - u (u <= i+j) is >= 0, so no tail integral diverges."""
+    for (i, j, k, l) in GRID:
+        if (i + k + l) % 2 == 0:
+            d0 = 3 * i + 2 * j + k - (i + k + l) // 2
+            assert 2 * (d0 - (i + j)) == 3 * i + 2 * j + k - l >= 0, (i, j, k, l)
 
 
 def test_eta_normal_values():
@@ -65,16 +70,16 @@ def test_exact_t_table_matches_gamma_loop_oracle(nu):
 
 @pytest.mark.parametrize("nu", EXACT_NUS, ids=str)
 def test_eta_t_index_rectangle_matches_oracle_or_diverges_alike(nu):
+    off_grid = 0
     for idx in itertools.product(range(2), range(3), range(5), range(5)):
-        try:
-            expected = eta_t_oracle(*idx, nu)
-        except EtaDivergenceError as exc:
-            with pytest.raises(EtaDivergenceError) as got:
+        if idx not in GRID:
+            off_grid += 1
+            with pytest.raises(ValueError, match=r"outside the table grid"):
                 eta_t(*idx, nu)
-            assert str(got.value) == str(exc), idx
             continue
         value = eta_t(*idx, nu)
-        assert type(value) is Fraction and value == expected, idx
+        assert type(value) is Fraction and value == eta_t_oracle(*idx, nu), idx
+    assert off_grid == 14
 
 
 def test_float_t_table_is_correctly_rounded_exact_value():
@@ -103,8 +108,20 @@ def test_eta_t_rejects_nu_outside_the_positive_reals(nu):
 
 
 def test_eta_t_divergence_guard():
-    with pytest.raises(EtaDivergenceError, match="diverges"):
-        eta_t(0, 0, 0, 4, Fraction(3))  # E[y^4] for t(3); index is off-grid anyway
+    # E[y^4] diverges for t(3); the index is off the grid, so it is refused.
+    with pytest.raises(ValueError, match=r"eta\[0,0,0,4\] is outside the table grid"):
+        eta_t(0, 0, 0, 4, Fraction(3))
+
+
+@pytest.mark.parametrize("idx", [(0, 0, 0, 4), (0, 0, 1, 4), (0, 1, 0, 3), (2, 0, 0, 0), (0, 0, -1, 0)])
+def test_per_entry_functions_refuse_off_grid_indices(idx):
+    pattern = r"eta\[{}\] is outside the table grid".format(",".join(map(str, idx)))
+    with pytest.raises(ValueError, match=pattern):
+        eta_normal(*idx)
+    with pytest.raises(ValueError, match=pattern):
+        eta_t(*idx, 3)
+    with pytest.raises(ValueError, match=pattern):
+        eta_quadrature(normal_error(), *idx)
 
 
 @pytest.mark.parametrize("idx,expected", [((0, 0, 2, 0), 1.0), ((0, 1, 0, 0), -1.0)])
