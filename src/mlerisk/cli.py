@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -50,6 +51,11 @@ class ConfigError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """Command-line usage errors raise ConfigError, so they reach stderr as JSON."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # '-1e-3' and '-1/3' are values, not options as argparse's own pattern has them
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(/\d+)?$")
 
     def error(self, message):
         raise ConfigError(message)

@@ -26,8 +26,9 @@ Either way the work is O(n p min(n, p^2)), and no temporary is larger than
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, count
 
 import numpy as np
 
@@ -98,11 +99,70 @@ def _flag_correlations(rows: np.ndarray, names, threshold: float):
 def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
     """Read a rectangular numeric table, handling missing values per options.
 
-    ``csv.reader`` splits the fields; cleaning and conversion then run column
-    by column.  A token is missing iff its stripped text is one of
+    A token is missing iff its stripped text is one of
     ``options.missing_tokens``; every other kept token becomes ``float`` of
-    its stripped text.
+    its stripped text.  numpy's C reader converts a plain body, ``csv.reader``
+    any other; the dataset is bit-identical either way.
     """
+    kept_names, data, dropped, bad_rows = _load_plain(path, options) or _load_records(path, options)
+    if data.shape[0] <= data.shape[1]:
+        raise DataError(
+            f"{path}: need more rows than columns (n={data.shape[0]}, p={data.shape[1]})"
+        )
+    return Dataset(
+        column_names=kept_names,
+        rows=data,
+        dropped_columns=tuple(dropped),
+        dropped_row_count=len(bad_rows),
+        flagged_pairs=_flag_correlations(data, kept_names, options.correlation_threshold),
+    )
+
+
+def _load_plain(path, options):
+    """``_load_records``'s result by ``np.loadtxt``, or None to fall back to it.
+
+    A body with no quote, NUL, bare CR or line over csv's field limit splits at
+    newlines and delimiters as csv.reader splits it.  loadtxt reads a field as
+    ``float`` of its stripped text or raises (empty, ``1_000``, a non-ASCII
+    digit); any doubt, a NaN included, falls back.
+    """
+    d = options.delimiter
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        reader = csv.reader(io.StringIO(text, newline=""), delimiter=d)
+        first = next(filter(None, reader), ())
+    except (OSError, UnicodeDecodeError, csv.Error):
+        return None
+    if "\r" in text:  # a CR left after this is bare: csv.reader would end a line there
+        text = text.replace("\r\n", "\n")
+    skip = reader.line_num if options.header else 0  # lines before the body
+    parts = text.split("\n", skip)
+    body = parts[-1] if len(parts) > skip else ""
+    lines = list(filter(None, body.split("\n")))
+    if (not lines or d in "\r\n" or "\r" in text or '"' in body or "\0" in body
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    width, missing = len(first), set(options.missing_tokens)
+    if any(line.count(d) != width - 1 for line in lines):
+        return None
+    tokens = [t for t in missing if t and t[0] in body and t in body]  # t[0] first: memchr is fast
+    hits = sorted({r for t in tokens for r, line in enumerate(lines) if t in line})
+    cells = list(map(str.strip, chain.from_iterable(lines[r].split(d) for r in hits)))
+    bad_cells = {(hits[k // width], k % width) for k in compress(count(), map(missing.__contains__, cells))}
+    names, keep, dropped, bad_rows = _clean(path, first, len(lines), bad_cells, options)
+    lines = [line for r, line in enumerate(lines) if r not in bad_rows]
+    try:
+        data = np.loadtxt(lines, delimiter=d, usecols=keep, comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if data.shape != (len(lines), len(keep)) or np.isnan(data).any():
+        return None
+    return tuple(names[i] for i in keep), data, dropped, bad_rows
+
+
+def _load_records(path, options):
+    """(kept names, rows, dropped names, rows dropped) by ``csv.reader``; raises on bad input."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             raw = [row for row in csv.reader(fh, delimiter=options.delimiter) if row]
@@ -111,14 +171,9 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
         raise DataError(f"{path}: cannot read: {reason}") from None
     if not raw:
         raise DataError(f"{path}: empty file")
-    if options.header:
-        names = [c.strip().strip('"') for c in raw[0]]
-        body = raw[1:]
-    else:
-        names = [f"x{i+1}" for i in range(len(raw[0]))]
-        body = raw
+    body = raw[1:] if options.header else raw
     skip = 1 if options.header else 0  # records of raw before body
-    width = len(names)
+    width = len(raw[0])
     for r, row in enumerate(body):
         if len(row) != width:
             raise DataError(
@@ -126,42 +181,18 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
                 f"expected {width} fields, found {len(row)}"
             )
 
-    unknown = [name for name in options.drop_columns if name not in names]
-    if unknown:
-        raise DataError(f"{path}: no column named {', '.join(map(repr, unknown))} to drop")
-    keep = [i for i, name in enumerate(names) if name not in set(options.drop_columns)]
-    dropped = [names[i] for i in range(width) if i not in keep]
-    missing = set(options.missing_tokens)
     # Stripped in file order, so the strings are visited where they lie in
     # memory; column i is then the slice cells[i::width].
     cells = list(map(str.strip, chain.from_iterable(body)))
-    bad_cols, bad_rows = [], set()
-    for i in keep:
-        tokens = cells[i::width]
-        if not missing.isdisjoint(tokens):
-            bad_cols.append(i)
-            bad_rows.update(compress(range(len(body)), map(missing.__contains__, tokens)))
-
-    good = None  # mask of the rows kept, None when all are
-    if options.missing_strategy == "drop_columns":
-        dropped += [names[i] for i in bad_cols]
-        keep = [i for i in keep if i not in bad_cols]
-        dropped_row_count = 0
-    else:
-        if bad_rows:
-            good = np.ones(len(body), dtype=bool)
-            good[list(bad_rows)] = False
-        dropped_row_count = len(bad_rows)
-    rows = range(len(body)) if good is None else np.flatnonzero(good)
-
-    if not keep:
-        raise DataError(f"{path}: no columns left after cleaning")
-    if not len(rows):
-        raise DataError(f"{path}: no rows left after cleaning")
+    missing = set(options.missing_tokens)
+    bad_cells = {divmod(k, width) for k in compress(count(), map(missing.__contains__, cells))}
+    names, keep, dropped, bad_rows = _clean(path, raw[0], len(body), bad_cells, options)
+    good = [r not in bad_rows for r in range(len(body))]
+    rows = list(compress(range(len(body)), good))
 
     data = np.empty((len(rows), len(keep)))
     for c, i in enumerate(keep):
-        tokens = cells[i::width] if good is None else compress(cells[i::width], good)
+        tokens = compress(cells[i::width], good)
         try:
             data[:, c] = np.fromiter(map(float, tokens), dtype=float, count=len(rows))
         except ValueError:
@@ -170,18 +201,31 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
                 f"{path}: line {_record_line(path, options, skip + r)}: "
                 f"non-numeric value {tok!r} in column {names[i]!r}"
             ) from None
-    if data.shape[0] <= data.shape[1]:
-        raise DataError(
-            f"{path}: need more rows than columns (n={data.shape[0]}, p={data.shape[1]})"
-        )
-    kept_names = tuple(names[i] for i in keep)
-    return Dataset(
-        column_names=kept_names,
-        rows=data,
-        dropped_columns=tuple(dropped),
-        dropped_row_count=dropped_row_count,
-        flagged_pairs=_flag_correlations(data, kept_names, options.correlation_threshold),
-    )
+    return tuple(names[i] for i in keep), data, dropped, bad_rows
+
+
+def _clean(path, first, n_rows, bad_cells, options):
+    """(column names, kept column indices, dropped names, rows dropped), given
+    the first record and the (row, column) of each missing cell."""
+    names = ([c.strip().strip('"') for c in first] if options.header
+             else [f"x{i+1}" for i in range(len(first))])
+    unknown = [name for name in options.drop_columns if name not in names]
+    if unknown:
+        raise DataError(f"{path}: no column named {', '.join(map(repr, unknown))} to drop")
+    drop = set(options.drop_columns)
+    keep = [i for i, name in enumerate(names) if name not in drop]
+    dropped = [name for name in names if name in drop]
+    if options.missing_strategy == "drop_columns":
+        bad_cols = {i for _, i in bad_cells}
+        dropped += [names[i] for i in keep if i in bad_cols]
+        keep = [i for i in keep if i not in bad_cols]
+    kept = set(keep)
+    bad_rows = {r for r, i in bad_cells if i in kept}
+    if not keep:
+        raise DataError(f"{path}: no columns left after cleaning")
+    if len(bad_rows) == n_rows:
+        raise DataError(f"{path}: no rows left after cleaning")
+    return names, keep, dropped, bad_rows
 
 
 def _record_line(path, options, index):

@@ -465,3 +465,20 @@ def test_help_still_exits_zero(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: mlerisk")
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1/3", "-.5E+0"])
+def test_negative_number_with_exponent_or_denominator_is_a_value(capsys, value):
+    argv = ["risk", "--error", "t:5", "--xpreset", "normal", "--p", "3", "--n", "200"]
+    spaced = run_cli(capsys, *argv, "--alpha", value)
+    joined = run_cli(capsys, *argv, f"--alpha={value}")
+    assert spaced == joined
+    assert spaced[0] == 0 and "q_at_alpha" in json.loads(spaced[1])
+
+
+def test_negative_tolerance_with_exponent_reaches_the_tolerance_check(capsys):
+    code, out, err = run_cli(capsys, "risk", "--error", "normal", "--xpreset", "normal", "--p", "3",
+                             "--tol", "-1e-10")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "tol must be positive and finite, got -1e-10", "kind": "config"}

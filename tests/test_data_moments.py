@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -318,3 +320,140 @@ def test_flagged_pairs_match_double_loop(tmp_path, threshold):
     assert ds.flagged_pairs == want
     assert len(want) >= 2
     assert all(type(a) is str and type(c) is float for a, _, c in ds.flagged_pairs)
+
+
+# --- load_csv: numpy's C reader against the csv.reader path --------------------
+
+
+def _outcome(path, options):
+    """Everything load_csv returns, rows as bits, or the message of its DataError."""
+    try:
+        with warnings.catch_warnings():  # an inf cell makes the correlation flags warn
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ds = load_csv(path, options)
+    except DataError as exc:
+        return str(exc)
+    return (ds.column_names, ds.rows.shape, ds.rows.view(np.int64).tolist(),
+            ds.dropped_columns, ds.dropped_row_count, ds.flagged_pairs)
+
+
+def _shaped(rng, n, p, delimiter=",", header=None, missing_cols=()):
+    """n x p correlated, skewed columns as %.6g text, '?' in missing_cols."""
+    x = rng.standard_normal((n, p)) @ (np.eye(p) + 0.2 * rng.uniform(-1, 1, (p, p))) + rng.gamma(2.0, size=p)
+    text = np.char.mod("%.6g", x ** 3)
+    for j in missing_cols:
+        text[rng.random(n) < 0.05, j] = "?"
+    head = header or [f"c{j}" for j in range(p)]
+    return "\n".join([delimiter.join(head)] + [delimiter.join(row) for row in text]) + "\n"
+
+
+_rng = np.random.default_rng(42)
+_exact = [repr(v) for v in (_rng.standard_normal(300) * 10.0 ** _rng.integers(-100, 100, 300)).tolist()]
+# (id, file text, LoadOptions fields, whether numpy's C reader takes it)
+_DIFFERENTIAL = [
+    ("uci-quoted-header", '"a";"b";"c"\n1;2;3\n4;5;6\n7;8;10\n9;1;2\n', dict(delimiter=";"), True),
+    ("quoted-body-cell", 'a,b\n1,"2"\n3,4\n5,7\n', {}, False),
+    # csv.reader reads the first two lines as one record, a line split as two
+    ("quoted-dropped-cell-over-two-lines", 'a,b,c\n1,"p,3\n7,q",3\n4,x,6\n5,y,2\n8,z,1\n',
+     dict(drop_columns=("b",)), False),
+    ("crlf", "a,b\r\n1,2\r\n3,4\r\n\r\n5,7\r\n", {}, True),
+    ("bare-cr", "a,b\r1,2\r3,4\r5,7\r", {}, False),
+    ("crlf-and-bare-cr", "a,b\r\n1,2\r\n3,4\r5,7\r\n", {}, False),
+    ("bare-cr-in-header", "a,b\rc,d\n1,2\n3,4\n5,7\n8,1\n", {}, False),
+    ("hash-in-cell", "a,b\n1,2#3\n3,4\n5,7\n", {}, False),
+    ("hash-in-dropped-cell", "a,b,c\n1,2#3,4\n3,4,5\n5,7,6\n9,9,1\n", dict(drop_columns=("b",)), True),
+    ("whitespace-only-line", "a,b\n1,2\n   \n3,4\n5,7\n", {}, False),
+    ("whitespace-only-cell", "a\n1\n   \n2\n3\n", {}, False),
+    ("blank-lines-before-bad-row", "a,b\n1,2\n\n\n3,x\n4,5\n6,7\n", {}, False),
+    ("underscore", "a,b\n1_000,2\n3,4\n5,7\n", {}, False),
+    ("unicode-spaces", "a,b\n\xa01.5 ,2\n3,　4\n5,\t7 \n8,1\n", {}, True),
+    ("unicode-digits", "a,b\n١٢,2\n3,4\n5,7\n", {}, False),
+    ("inf", "a,b\n1,inf\n3,-Infinity\n5,1e500\n8,1\n", {}, True),
+    ("minus-nan", "a,b\n1,-nan\n3,4\n5,7\n8,1\n", {}, False),
+    ("NaN-is-a-number", "a,b\n1,NaN\n3,4\n5,7\n8,1\n", {}, False),
+    ("NAN-holds-a-token", "a,b\n1,NAN\n3,4\n5,7\n8,1\n", {}, False),
+    ("number-spellings", "a,b\n+.5,5.\n-0,1e500\n 7 ,1E-5\n-.25e+2,0x1\n", dict(drop_columns=()), False),
+    ("number-spellings-clean", "a,b\n+.5,5.\n-0,1e300\n 7 ,1E-5\n-.25e+2,3\n", {}, True),
+    ("empty-kept-cell", "a,b\n1,\n3,4\n5,7\n8,9\n", {}, False),
+    ("empty-cell-dropped-column", "a,b,c\n1,,2\n3,4,5\n5,7,1\n8,9,3\n", dict(drop_columns=("b",)), True),
+    ("empty-not-missing", "a,b\n1,\n3,4\n5,7\n8,9\n", dict(missing_tokens=("?",)), False),
+    ("user-token", "a,b\n1,2\n-999,3\n4, -999 \n5,-999.0\n6,7\n8,1\n", dict(missing_tokens=("-999",)), True),
+    ("user-token-hides-question-mark", "a,b\n1,2\n-999,3\n?,1\n6,7\n8,1\n", dict(missing_tokens=("-999",)), False),
+    ("tab", "a\tb\n1\t2\n 3 \t 4\n5\t7\n", dict(delimiter="\t"), True),
+    ("space", "a b\n1 2\n3 4\n5 7\n", dict(delimiter=" "), True),
+    ("space-doubled", "a b\n1 2\n3  4\n5 7\n", dict(delimiter=" "), False),
+    ("space-delimited-empty-field", "a b c\n1  2\n3 4 5\n6 7 8\n9 1 2\n", dict(delimiter=" ", drop_columns=("c",)), False),
+    ("newline-delimiter", "a\n1\n2\n3\n", dict(delimiter="\n"), False),
+    ("header-only", "a,b\n", {}, False),
+    ("header-only-no-newline", "1,2", {}, False),
+    ("only-blank-lines", "\n\n\n", {}, False),
+    ("no-header", "1,2\n3,4\n5,7\n", dict(header=False), True),
+    ("no-header-blank-first", "\n1,2\n\n3,4\n5,7\n", dict(header=False), True),
+    ("ragged-row", "a,b\n1,2\n3\n4,5\n", {}, False),
+    ("ragged-long-row", "a,b\n1,2\n3,4,5\n6,7\n8,9\n", {}, False),
+    ("ragged-and-unknown-drop", "a,b\n1,2\n3\n4,5\n", dict(drop_columns=("z",)), False),
+    ("unknown-drop", "a,b\n1,2\n3,4\n4,5\n", dict(drop_columns=("z", "a")), True),
+    ("duplicate-names-dropped", "a,a,b\n1,2,3\n4,5,7\n7,8,1\n2,2,9\n", dict(drop_columns=("a",)), True),
+    ("nul", "a,b\n1,2\x00\n3,4\n5,6\n", {}, False),
+    ("nul-in-dropped-column", "a,b,c\n1,x\x00,2\n3,y,4\n5,z,7\n8,w,1\n", dict(drop_columns=("b",)), False),
+    ("field-over-csv-limit", "a,b\n1," + "1" * 131073 + "\n3,4\n5,6\n", {}, False),
+    ("multi-line-quoted-header", '"x\ny",b\n1,2\n3,4\n5,7\n', {}, True),
+    ("bom", "﻿a,b\n1,2\n3,4\n5,7\n", {}, True),
+    ("blank-lines-before-header", "\n\na,b\n1,2\n3,4\n5,7\n", {}, True),
+    ("too-few-rows", "a,b\n1,2\n3,4\n", {}, True),
+    ("no-rows-left", "a,b\n?,2\n3,NA\n", {}, True),
+    ("no-columns-left", "a,b\n?,2\n3,NA\n", dict(missing_strategy="drop_columns"), True),
+    ("non-numeric", "a,b\n1,2\n3,zebra\n4,5\n", {}, False),
+    ("both-strategies", "a,b,c,d,e\n1,2,3,?,5\n6,7,8,9,10\n11,,13,14,15\n16,17,x,19,20\n21,22,23,24,25\n"
+     "26,27,28,29,30\n31,32,33,34,35\n", dict(drop_columns=("c",)), False),
+    ("both-strategies-columns", "a,b,c,d,e\n1,2,3,?,5\n6,7,8,9,10\n11,NA,13,14,15\n16,17,x,19,20\n"
+     "21,22,23,24,25\n26,27,28,29,30\n31,32,33,34,35\n",
+     dict(drop_columns=("c",), missing_strategy="drop_columns"), True),
+    ("exact-reprs", "a,b,c\n" + "\n".join(",".join(_exact[i:i + 3]) for i in range(0, 300, 3)) + "\n", {}, True),
+    ("crime-shaped", _shaped(_rng, 400, 104, missing_cols=(7, 23, 51, 80, 101)),
+     dict(missing_strategy="drop_columns"), True),
+    ("crime-shaped-rows", _shaped(_rng, 400, 104, missing_cols=(7, 23)), dict(drop_columns=("c0", "c7")), True),
+    ("wine-shaped", _shaped(_rng, 600, 12, ";", [f'"fixed_{j}"' for j in range(11)] + ['"quality"']),
+     dict(delimiter=";", drop_columns=("quality",)), True),
+    ("tall-shaped", _shaped(_rng, 1500, 11), {}, True),
+]
+
+
+@pytest.mark.parametrize("text, fields, plain", [c[1:] for c in _DIFFERENTIAL], ids=[c[0] for c in _DIFFERENTIAL])
+def test_load_csv_c_reader_matches_csv_reader(tmp_path, monkeypatch, text, fields, plain):
+    import mlerisk.data_moments as dm
+
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    options = LoadOptions(**fields)
+    try:
+        taken = dm._load_plain(path, options) is not None
+    except DataError:  # raised by the cleaning both paths share
+        taken = True
+    assert taken == plain
+    fast = _outcome(path, options)
+    monkeypatch.setattr(dm, "_load_plain", lambda *_: None)
+    assert fast == _outcome(path, options)
+
+
+@pytest.mark.parametrize(
+    "text, fields, p, dropped",
+    [
+        (_shaped(np.random.default_rng(1), 500, 11), {}, 11, ()),
+        (_shaped(np.random.default_rng(2), 300, 104, missing_cols=(7, 80)),
+         dict(missing_strategy="drop_columns"), 102, ("c7", "c80")),
+        (_shaped(np.random.default_rng(3), 300, 20, missing_cols=(4,)), dict(drop_columns=("c3",)), 19, ("c3",)),
+        (_shaped(np.random.default_rng(4), 600, 12, ";", [f'"fixed_{j}"' for j in range(11)] + ['"quality"']),
+         dict(delimiter=";", drop_columns=("quality",)), 11, ("quality",)),
+    ],
+    ids=["clean", "missing-drop-columns", "missing-drop-rows", "semicolon-drop"],
+)
+def test_load_csv_takes_the_c_reader_on_plain_files(tmp_path, monkeypatch, text, fields, p, dropped):
+    import mlerisk.data_moments as dm
+
+    monkeypatch.setattr(dm, "_load_records", lambda *_: pytest.fail("fell back to csv.reader"))
+    ds = load_csv(_write(tmp_path, text), LoadOptions(**fields))
+    # '?' sits in one column only, so each '?' costs a row under drop_rows
+    dropped_rows = text.count("?") if "missing_strategy" not in fields else 0
+    assert ds.rows.shape == (text.count("\n") - 1 - dropped_rows, p)
+    assert ds.dropped_row_count == dropped_rows and ds.dropped_columns == dropped
