@@ -78,9 +78,6 @@ class IdeResult:
     def no_real_root(self) -> bool:
         return self.m is None
 
-    def display(self, digits: int = 2) -> str:
-        return "*" if self.m is None else f"{self.m:.{digits}f}"
-
 
 def ide(expansion: RiskExpansion, alpha) -> IdeResult:
     """Indicator of the difficulty of estimation.

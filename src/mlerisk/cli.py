@@ -13,18 +13,21 @@ series      (k, ED(alpha, (p+2)k)) rows plus the fair-coin benchmark column
 table       regenerate the indicator tables for the reference configurations
 
 Exactly one moment source may be given: --xpreset, --homogeneous,
---aggregated or --csv.  Exit codes: 0 success, 2 configuration error,
-3 numeric failure; errors are emitted as JSON on stderr.
+--aggregated or --csv.  --csv takes p from the data; the others need --p.
+Numbers are parsed exactly ('1/3', '4.2').  Exit codes: 0 success,
+2 configuration error, 3 numeric failure; errors are emitted as JSON on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from fractions import Fraction
+from functools import partial
+
+import numpy as np
 
 from ._quadrature import QuadratureError
 from .benchmarks import coin_equivalent, ide, rss
@@ -34,6 +37,7 @@ from .eta import EtaTableError, build_eta_table
 from .expansion import risk_expansion
 from .mc import SimConfig, estimate_risk
 from .moments import X_PRESET_NAMES, AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
+from .moments import _exact_param
 
 __all__ = ["main"]
 
@@ -61,66 +65,61 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_number(text: str):
-    """Exact rational when possible ('-1', '4.2', '8129/21'), float otherwise."""
+def _parse_number(text: str) -> Fraction:
+    """--alpha as an exact rational ('-1', '4.2', '8129/21'); no NaN, infinity or value beyond a double."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return float(text)
+        return _exact_param(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_kv(text: str, allowed) -> dict:
-    out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise ConfigError(f"expected key=value, got {piece!r}")
-        key, val = piece.split("=", 1)
-        key = key.strip()
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} (allowed: {', '.join(allowed)})")
-        if key in out:
-            raise ConfigError(f"key {key!r} given twice")
-        out[key] = _parse_number(val.strip())
-    return out
+# The key=value moment sources: their keys, the keys they need, the summary they build.
+_KEY_VALUE_SOURCES = {
+    "homogeneous": (("m4", "m22", "m3", "m21", "m111"), {"m4", "m22"}, HomogeneousMoments),
+    "aggregated": (("M2a", "M2b", "M1"), {"M2a", "M2b", "M1"}, AggregatedMoments),
+}
 
 
 def _moment_source(args):
-    sources = [
-        name
-        for name in ("xpreset", "homogeneous", "aggregated", "csv")
-        if getattr(args, name)
-    ]
-    if len(sources) != 1:
+    """(moments, source record) of the one moment source given.
+
+    --csv takes p from the data and refuses --p.  Every other source needs
+    --p, and a key=value source names a bad or missing key before that.
+    """
+    given = [name for name in ("xpreset", "homogeneous", "aggregated", "csv") if getattr(args, name)]
+    if len(given) != 1:
         raise ConfigError(
             f"exactly one moment source required (--xpreset | --homogeneous | "
-            f"--aggregated | --csv); got {sources or 'none'}"
+            f"--aggregated | --csv); got {given or 'none'}"
         )
-    source = sources[0]
-    if source == "xpreset":
-        if args.p is None:
-            raise ConfigError("--p is required with --xpreset")
-        name, _, param = args.xpreset.partition(":")
-        return x_preset(name, args.p, param or None), {"xpreset": args.xpreset, "p": args.p}
-    if source == "homogeneous":
-        kv = _parse_kv(args.homogeneous, ("m4", "m22", "m3", "m21", "m111"))
-        if args.p is None:
-            raise ConfigError("--p is required with --homogeneous")
-        if "m4" not in kv or "m22" not in kv:
-            raise ConfigError("--homogeneous needs at least m4=… and m22=…")
-        return HomogeneousMoments(p=args.p, **kv), {"homogeneous": kv, "p": args.p}
-    if source == "aggregated":
-        kv = _parse_kv(args.aggregated, ("M2a", "M2b", "M1"))
-        missing = {"M2a", "M2b", "M1"} - set(kv)
+    source = given[0]
+    text = getattr(args, source)
+    if source == "csv":
+        if args.p is not None:
+            raise ConfigError("--p cannot be given with --csv, which takes p from the data")
+        dataset, _, agg = _csv_moments(args)
+        return AggregatedMoments(p=dataset.p, **agg), {"csv": text, "n": dataset.n, "p": dataset.p}
+    if source in _KEY_VALUE_SOURCES:
+        allowed, required, summary = _KEY_VALUE_SOURCES[source]
+        kv = {}
+        for piece in filter(None, map(str.strip, text.split(","))):
+            key, eq, value = map(str.strip, piece.partition("="))
+            if not eq:
+                raise ConfigError(f"expected key=value, got {piece!r}")
+            if key not in allowed:
+                raise ConfigError(f"unknown key {key!r} (allowed: {', '.join(allowed)})")
+            if key in kv:
+                raise ConfigError(f"key {key!r} given twice")
+            kv[key] = _exact_param(value, key)
+        missing = required - kv.keys()
         if missing:
-            raise ConfigError(f"--aggregated is missing {sorted(missing)}")
-        if args.p is None:
-            raise ConfigError("--p is required with --aggregated")
-        return AggregatedMoments(p=args.p, **kv), {"aggregated": kv, "p": args.p}
-    dataset, _, agg = _csv_moments(args)
-    return AggregatedMoments(p=dataset.p, **agg), {"csv": args.csv, "n": dataset.n, "p": dataset.p}
+            raise ConfigError(f"--{source} is missing {sorted(missing)}")
+    if args.p is None:
+        raise ConfigError(f"--p is required with --{source}")
+    if source == "xpreset":
+        name, _, param = text.partition(":")
+        return x_preset(name, args.p, param or None), {source: text, "p": args.p}
+    return summary(p=args.p, **kv), {source: {key: float(v) for key, v in kv.items()}, "p": args.p}
 
 
 def _csv_moments(args):
@@ -136,9 +135,13 @@ def _csv_moments(args):
         correlation_threshold=args.threshold,
         **missing,
     )
-    dataset = load_csv(args.csv, options)
-    std = standardize(dataset)
-    return dataset, std, sample_aggregates(std)
+    try:
+        with np.errstate(over="raise"):  # a cell near 1e300 overflows the covariance
+            dataset = load_csv(args.csv, options)
+            std = standardize(dataset)
+            return dataset, std, sample_aggregates(std)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{args.csv}: {exc} in the moments of the data") from None
 
 
 def _expansion_from_args(args):
@@ -158,53 +161,17 @@ def _expansion_from_args(args):
     return exp, payload
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _emit(args, payload) -> None:
-    json.dump(payload, sys.stdout, indent=None if args.compact else 2, default=_json_default)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(payload, indent=None if args.compact else 2, allow_nan=False)
+    except ValueError:  # a NaN or an infinity, which JSON cannot hold
+        raise ArithmeticError("a result is not finite (NaN or infinity); nothing was printed") from None
+    sys.stdout.write(text + "\n")
 
 
 def _emit_indicator(args, payload, fields) -> None:
     """The indicator commands' envelope: their own fields, then alpha and the expansion."""
     _emit(args, {**fields, "alpha": float(args.alpha), "expansion": payload})
-
-
-def _add_model_and_moments(sub):
-    sub.add_argument("--error", required=True, help="normal | t:<nu> | skew-normal:<b> | custom:<file>")
-    sub.add_argument("--p", type=int, help="number of explanatory variables")
-    sub.add_argument("--xpreset", help="x moments preset: normal | t[:nu] | controlled | pareto[:b]")
-    sub.add_argument("--homogeneous", help="homogeneous moments, e.g. m4=3,m22=1,m3=0")
-    sub.add_argument("--aggregated", help="aggregated moments, e.g. M2a=0,M2b=0,M1=120")
-    sub.add_argument("--csv", help="dataset path; moments computed after whitening")
-    _add_csv_options(sub)
-    sub.add_argument("--tol", type=float, default=1e-10, help="eta quadrature tolerance")
-
-
-def _add_alpha(sub):
-    sub.add_argument("--alpha", type=_parse_number, default=Fraction(-1))
-
-
-def _add_csv_options(sub):
-    sub.add_argument("--delimiter", default=",")
-    sub.add_argument("--no-header", action="store_true")
-    sub.add_argument(
-        "--missing",
-        help="comma-separated missing tokens, '' for none "
-        f"(default {','.join(LoadOptions().missing_tokens)!r})",
-    )
-    sub.add_argument("--drop", help="comma-separated column names to drop")
-    sub.add_argument(
-        "--missing-strategy",
-        dest="missing_strategy",
-        choices=("drop_rows", "drop_columns"),
-        default="drop_rows",
-    )
-    sub.add_argument("--threshold", type=float, default=0.99, help="correlation flag threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,66 +180,82 @@ def build_parser() -> argparse.ArgumentParser:
         description="Second-order estimation-risk expansions and sample-size indicators "
         "for regression models under alpha-divergence.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--compact", action="store_true", help="single-line JSON output")
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    add = parser.add_subparsers(dest="command", required=True, parser_class=_Parser).add_parser
+    shared = partial(argparse.ArgumentParser, add_help=False)  # parents: each shared option declared once
 
-    sp = subs.add_parser("risk", parents=[common], help="assemble the risk expansion")
-    _add_model_and_moments(sp)
-    sp.add_argument("--alpha", type=_parse_number, help="evaluate q at this alpha")
+    compact = shared()
+    compact.add_argument("--compact", action="store_true", help="single-line JSON output")
+    error = shared()
+    error.add_argument("--error", required=True, help="normal | t:<nu> | skew-normal:<b> | custom:<file>")
+    tol = shared()
+    tol.add_argument("--tol", type=float, default=1e-10, help="eta quadrature tolerance")
+    # risk evaluates q at alpha only when --alpha is given; every other command defaults to -1
+    alpha, risk_alpha = shared(), shared()
+    for parent, default in ((alpha, Fraction(-1)), (risk_alpha, None)):
+        parent.add_argument("--alpha", type=_parse_number, default=default,
+                            help="divergence order, an exact number such as -1, 0.5 or 1/3")
+    csv_options = shared()
+    csv_options.add_argument("--delimiter", default=",")
+    csv_options.add_argument("--no-header", action="store_true")
+    csv_options.add_argument(
+        "--missing",
+        help="comma-separated missing tokens, '' for none "
+        f"(default {','.join(LoadOptions().missing_tokens)!r})",
+    )
+    csv_options.add_argument("--drop", help="comma-separated column names to drop")
+    csv_options.add_argument(
+        "--missing-strategy",
+        dest="missing_strategy",
+        choices=("drop_rows", "drop_columns"),
+        default="drop_rows",
+    )
+    csv_options.add_argument("--threshold", type=float, default=0.99, help="correlation flag threshold")
+    source = shared()
+    source.add_argument("--p", type=int, help="number of explanatory variables")
+    source.add_argument("--xpreset", help="x moments preset: normal | t[:nu] | controlled | pareto[:b]")
+    source.add_argument("--homogeneous", help="homogeneous moments, e.g. m4=3,m22=1,m3=0")
+    source.add_argument("--aggregated", help="aggregated moments, e.g. M2a=0,M2b=0,M1=120")
+    source.add_argument("--csv", help="dataset path; moments computed after whitening (p from the data)")
+    model = shared(parents=[compact, error, source, csv_options, tol])  # an error model and one moment source
+
+    sp = add("risk", parents=[model, risk_alpha], help="assemble the risk expansion")
     sp.add_argument("--n", type=int, help="evaluate ED(alpha, n)")
 
-    sp = subs.add_parser("ide", parents=[common], help="indicator of the difficulty of estimation")
-    _add_model_and_moments(sp)
-    _add_alpha(sp)
+    add("ide", parents=[model, alpha], help="indicator of the difficulty of estimation")
 
-    sp = subs.add_parser("rss", parents=[common], help="required sample size vs. fair-coin benchmark")
-    _add_model_and_moments(sp)
-    _add_alpha(sp)
+    sp = add("rss", parents=[model, alpha], help="required sample size vs. fair-coin benchmark")
     sp.add_argument("--k-start", type=int, default=10)
     sp.add_argument("--k-step", type=int, default=10)
     sp.add_argument("--k-max", type=int, default=1000)
 
-    sp = subs.add_parser("coin-equiv", parents=[common], help="fair-coin equivalent of an actual sample size")
-    _add_model_and_moments(sp)
-    _add_alpha(sp)
+    sp = add("coin-equiv", parents=[model, alpha], help="fair-coin equivalent of an actual sample size")
     sp.add_argument("--n-actual", type=int, required=True)
 
-    sp = subs.add_parser("moments", parents=[common], help="aggregated moments of a CSV dataset")
+    sp = add("moments", parents=[compact, csv_options], help="aggregated moments of a CSV dataset")
     sp.add_argument("csv")
-    _add_csv_options(sp)
 
-    sp = subs.add_parser("eta", parents=[common], help="dump the eta table")
+    sp = add("eta", parents=[compact, error, tol], help="dump the eta table")
     sp.add_argument("action", choices=("dump",))
-    sp.add_argument("--error", required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
 
-    sp = subs.add_parser("validate", parents=[common], help="Monte-Carlo risk vs. expansion")
-    sp.add_argument("--error", required=True)
+    sp = add("validate", parents=[compact, error, alpha, tol], help="Monte-Carlo risk vs. expansion")
     sp.add_argument("--xdist", required=True, choices=X_PRESET_NAMES)
     sp.add_argument("--xdist-param", type=float)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--alpha", type=float, default=-1.0)
     sp.add_argument("--reps", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--beta", help="comma-separated true beta (default zeros)")
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--divergence-sample", type=int, default=10_000)
-    sp.add_argument("--tol", type=float, default=1e-10)
 
-    sp = subs.add_parser("series", parents=[common], help="risk series over k at n = (p+2) k")
-    _add_model_and_moments(sp)
-    _add_alpha(sp)
+    sp = add("series", parents=[model, alpha], help="risk series over k at n = (p+2) k")
     sp.add_argument("--k-min", type=int, default=5)
     sp.add_argument("--k-max", type=int, default=100)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = subs.add_parser("table", parents=[common], help="regenerate the reference indicator tables")
+    sp = add("table", parents=[compact, alpha, tol], help="regenerate the reference indicator tables")
     sp.add_argument("--preset", required=True, choices=("table1", "table2", "table3", "table4", "table5"))
-    _add_alpha(sp)
     sp.add_argument("--format", choices=("csv", "json"), default="json")
-    sp.add_argument("--tol", type=float, default=1e-10)
 
     return parser
 
@@ -319,9 +302,7 @@ def _cmd_moments(args):
         {
             "n": dataset.n,
             "p": dataset.p,
-            "M2a": agg["M2a"],
-            "M2b": agg["M2b"],
-            "M1": agg["M1"],
+            **agg,
             "dropped_columns": list(dataset.dropped_columns),
             "dropped_rows": dataset.dropped_row_count,
             "flagged_correlations": [list(t) for t in dataset.flagged_pairs],
@@ -340,10 +321,8 @@ def _cmd_validate(args):
     beta = tuple(float(b) for b in args.beta.split(",")) if args.beta else (0.0,) * (args.p + 1)
     if len(beta) != args.p + 1:
         raise ConfigError(f"--beta needs p+1 = {args.p + 1} entries")
-    if args.p >= 1:
-        moments = x_preset(args.xdist, args.p, args.xdist_param)
-    else:
-        moments = AggregatedMoments(p=0, M2a=0, M2b=0, M1=0)
+    alpha = float(args.alpha)  # the simulation and its expansion value are float throughout
+    moments = x_preset(args.xdist, args.p, args.xdist_param) if args.p else None
     config = SimConfig(
         model=model,
         x_dist=args.xdist,
@@ -351,13 +330,16 @@ def _cmd_validate(args):
         sigma=args.sigma,
         n=args.n,
         replications=args.reps,
-        alpha=args.alpha,
+        alpha=alpha,
         seed=args.seed,
         x_dist_param=args.xdist_param,
         divergence_sample=args.divergence_sample,
     )
+    if moments is None:  # p = 0 draws no x, yet its parameter is checked as at p >= 1
+        x_preset(args.xdist, 1, args.xdist_param)
+        moments = AggregatedMoments(p=0, M2a=0, M2b=0, M1=0)
     exp = risk_expansion(build_eta_table(model, tol=args.tol), moments, with_error=False)
-    expansion_value = float(exp.evaluate(args.alpha, args.n))
+    expansion_value = float(exp.evaluate(alpha, args.n))
     est = estimate_risk(config)
     z = None
     if est.std_error:
@@ -444,9 +426,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        alpha = getattr(args, "alpha", None)
-        if alpha is not None and not -math.inf < alpha < math.inf:
-            raise ConfigError(f"--alpha must be finite, got {alpha}")
         _COMMANDS[args.command](args)
     except ValueError as exc:
         json.dump({"error": str(exc), "kind": "config"}, sys.stderr)

@@ -101,10 +101,19 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
 
     A token is missing iff its stripped text is one of
     ``options.missing_tokens``; every other kept token becomes ``float`` of
-    its stripped text.  numpy's C reader converts a plain body, ``csv.reader``
-    any other; the dataset is bit-identical either way.
+    its stripped text, and one that reads as no finite number is refused.
+    numpy's C reader converts a plain body, ``csv.reader`` any other; the
+    dataset is bit-identical either way.
     """
     kept_names, data, dropped, bad_rows = _load_plain(path, options) or _load_records(path, options)
+    finite = np.isfinite(data)
+    if not finite.all():  # inf, -Infinity, 1e500, NaN, -nan: float() reads them, no moment takes them
+        r, c = np.argwhere(~finite)[0]
+        body_row = [i for i in range(data.shape[0] + len(bad_rows)) if i not in bad_rows][r]
+        raise DataError(
+            f"{path}: line {_record_line(path, options, options.header + body_row)}: "
+            f"non-finite value {data[r, c]} in column {kept_names[c]!r}"
+        )
     if data.shape[0] <= data.shape[1]:
         raise DataError(
             f"{path}: need more rows than columns (n={data.shape[0]}, p={data.shape[1]})"

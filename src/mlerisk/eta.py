@@ -90,9 +90,6 @@ class EtaTable:
     def bound(self, i: int, j: int, k: int, l: int):
         return self.entries[(i, j, k, l)].abs_error_bound
 
-    def max_error_bound(self) -> float:
-        return max(float(e.abs_error_bound) for e in self.entries.values())
-
     def to_jsonable(self) -> dict:
         return {
             ",".join(map(str, idx)): {

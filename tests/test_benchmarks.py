@@ -75,7 +75,7 @@ def test_ide_wine_values(normal_table, t3_table, sn3_table):
     got_t = ide(risk_expansion(t3_table, WINE), F(-1))
     assert got_t.m == pytest.approx(0.81, abs=0.005)
     got_sn = ide(risk_expansion(sn3_table, WINE), F(-1))
-    assert got_sn.no_real_root and got_sn.display() == "*"
+    assert got_sn.no_real_root and got_sn.m is None and got_sn.roots is None
 
 
 def test_ide_no_real_root_for_reference_configs(normal_table):

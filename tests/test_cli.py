@@ -445,8 +445,13 @@ def test_validate_checks_the_eta_tolerance_before_the_simulation(capsys, monkeyp
           "--reps", "2"], "argument --xdist-param: invalid float value: '1/0'"),
         (["nosuch"], "argument command: invalid choice: 'nosuch'"),
         (["risk", "--xpreset", "normal", "--p", "3"], "the following arguments are required: --error"),
+        (["ide", "--error", "normal", "--xpreset", "normal", "--p", "3", "--alpha", "1e400"],
+         "argument --alpha: the value must be finite (a number such as 3, 4.2 or 21/5), got '1e400'"),
+        (["risk", "--error", "normal", "--xpreset", "normal", "--p", "3", "--alpha", "x"],
+         "argument --alpha: the value must be finite (a number such as 3, 4.2 or 21/5), got 'x'"),
     ],
-    ids=["p-not-an-int", "xdist-param-zero-denominator", "unknown-subcommand", "missing-error"],
+    ids=["p-not-an-int", "xdist-param-zero-denominator", "unknown-subcommand", "missing-error",
+         "alpha-beyond-a-double", "alpha-not-a-number"],
 )
 def test_command_line_usage_error_is_a_json_config_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -482,3 +487,99 @@ def test_negative_tolerance_with_exponent_reaches_the_tolerance_check(capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err) == {"error": "tol must be positive and finite, got -1e-10", "kind": "config"}
+
+
+@pytest.mark.parametrize("command", ["risk", "ide", "rss", "coin-equiv", "series"])
+def test_p_with_csv_is_refused_before_the_file_is_read(tmp_path, capsys, monkeypatch, command):
+    from mlerisk import cli
+
+    monkeypatch.setattr(cli, "load_csv", lambda *_: pytest.fail("--p with --csv reached the data"))
+    extra = ["--n-actual", "500"] if command == "coin-equiv" else []
+    code, out, err = run_cli(capsys, command, "--error", "normal", "--csv", str(tmp_path / "x.csv"), "--p", "7",
+                             *extra)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "--p cannot be given with --csv, which takes p from the data",
+                               "kind": "config"}
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        (["--homogeneous", "bogus=1"], "unknown key 'bogus' (allowed: m4, m22, m3, m21, m111)"),
+        (["--homogeneous", "m4=3,m22"], "expected key=value, got 'm22'"),
+        (["--homogeneous", "m4=3,m22=x"], "m22 must be finite (a number such as 3, 4.2 or 21/5), got 'x'"),
+        (["--homogeneous", "m4=3"], "--homogeneous is missing ['m22']"),
+        (["--aggregated", "M2a=1,M2a=2"], "key 'M2a' given twice"),
+        (["--aggregated", "M2a=1"], "--aggregated is missing ['M1', 'M2b']"),
+        (["--homogeneous", "m4=3,m22=1"], "--p is required with --homogeneous"),
+        (["--aggregated", "M2a=1,M2b=0,M1=3"], "--p is required with --aggregated"),
+        (["--xpreset", "normal"], "--p is required with --xpreset"),
+    ],
+)
+def test_moment_source_names_a_bad_key_before_a_missing_p(capsys, source, message):
+    code, out, err = run_cli(capsys, "risk", "--error", "normal", *source)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": message, "kind": "config"}
+
+
+def test_validate_takes_a_fractional_alpha(capsys):
+    argv = ["validate", "--error", "normal", "--xdist", "normal", "--p", "1", "--n", "60", "--reps", "20"]
+    half = run_cli(capsys, *argv, "--alpha", "1/2")
+    assert half[0] == 0
+    assert half == run_cli(capsys, *argv, "--alpha", "0.5")
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize(
+    "xdist,param,message",
+    [
+        ("normal", "5", "'normal' x preset takes no parameter"),
+        ("controlled", "7", "'controlled' x preset takes no parameter"),
+        ("t", "3", "t preset needs nu > 4"),
+        ("pareto", "4", "Pareto preset needs index b > 4"),
+    ],
+)
+def test_validate_refuses_an_x_parameter_at_every_p(capsys, monkeypatch, p, xdist, param, message):
+    from mlerisk import cli
+
+    monkeypatch.setattr(cli, "estimate_risk", lambda *_: pytest.fail("a refused --xdist-param reached the simulation"))
+    code, out, err = run_cli(
+        capsys, "validate", "--error", "normal", "--xdist", xdist, "--xdist-param", param, "--p", str(p),
+        "--beta", ",".join(["0"] * (p + 1)), "--n", "50", "--reps", "5",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(message)
+
+
+def test_non_finite_cell_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("a,b\n1,inf\n3,4\n5,7\n8,1\n2,2\n")
+    for argv in (["moments", str(path)], ["risk", "--error", "normal", "--csv", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"{path}: line 2: non-finite value inf in column 'b'", "kind": "config"}
+
+
+def test_overflowing_data_end_in_a_numeric_error(tmp_path, capsys):
+    # finite cells whose squares overflow the covariance; no NaN may be printed and no warning raised
+    path = tmp_path / "big.csv"
+    path.write_text("a,b\n+.5,5.\n-0,1e300\n 7 ,1E-5\n-.25e+2,3\n")
+    for argv in (["moments", str(path)], ["risk", "--error", "normal", "--csv", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        error = json.loads(err)
+        assert error["kind"] == "numeric"
+        assert error["error"].startswith(f"{path}: overflow encountered")
+
+
+def test_a_non_finite_result_is_never_printed(tmp_path, capsys, monkeypatch):
+    from mlerisk import cli
+
+    monkeypatch.setattr(cli, "sample_aggregates", lambda std: {"M2a": float("nan"), "M2b": 0.0, "M1": 2.0})
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,2\n3,5\n4,4\n2,7\n5,1\n")
+    for argv in (["moments", str(path)], ["moments", str(path), "--compact"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "a result is not finite (NaN or infinity); nothing was printed",
+                                   "kind": "numeric"}

@@ -10,11 +10,13 @@ callers look up (``mlerisk.cli.build_eta_table``, ...); a CLI that captured a
 function at import time would run untraced, so the lookups are pinned too.
 """
 
+import argparse
 import importlib
 import importlib.util
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -95,3 +97,77 @@ def test_library_calls_go_through_module_attributes(tmp_path, capsys, monkeypatc
     code, _, err = run_cli(capsys, *(arg.format(csv=path) for arg in argv))
     assert (code, err) == (0, "")
     assert dict(calls) == expected
+
+
+# Every subcommand's options: dest -> (option strings, default, required, choices).
+_LOADER = {
+    "delimiter": (("--delimiter",), ",", False, None),
+    "no_header": (("--no-header",), False, False, None),
+    "missing": (("--missing",), None, False, None),
+    "drop": (("--drop",), None, False, None),
+    "missing_strategy": (("--missing-strategy",), "drop_rows", False, ("drop_rows", "drop_columns")),
+    "threshold": (("--threshold",), 0.99, False, None),
+}
+_MODEL = {
+    "compact": (("--compact",), False, False, None),
+    "error": (("--error",), None, True, None),
+    "p": (("--p",), None, False, None),
+    "xpreset": (("--xpreset",), None, False, None),
+    "homogeneous": (("--homogeneous",), None, False, None),
+    "aggregated": (("--aggregated",), None, False, None),
+    "csv": (("--csv",), None, False, None),
+    **_LOADER,
+    "tol": (("--tol",), 1e-10, False, None),
+    "alpha": (("--alpha",), Fraction(-1), False, None),
+}
+OPTIONS = {
+    "risk": {**_MODEL, "alpha": (("--alpha",), None, False, None), "n": (("--n",), None, False, None)},
+    "ide": _MODEL,
+    "rss": {**_MODEL, "k_start": (("--k-start",), 10, False, None), "k_step": (("--k-step",), 10, False, None),
+            "k_max": (("--k-max",), 1000, False, None)},
+    "coin-equiv": {**_MODEL, "n_actual": (("--n-actual",), None, True, None)},
+    "moments": {"compact": (("--compact",), False, False, None), "csv": ((), None, True, None), **_LOADER},
+    "eta": {
+        "compact": (("--compact",), False, False, None),
+        "action": ((), None, True, ("dump",)),
+        "error": (("--error",), None, True, None),
+        "tol": (("--tol",), 1e-10, False, None),
+    },
+    "validate": {
+        "compact": (("--compact",), False, False, None),
+        "error": (("--error",), None, True, None),
+        "xdist": (("--xdist",), None, True, ("normal", "t", "controlled", "pareto")),
+        "xdist_param": (("--xdist-param",), None, False, None),
+        "p": (("--p",), None, True, None),
+        "n": (("--n",), None, True, None),
+        "alpha": (("--alpha",), -1.0, False, None),
+        "reps": (("--reps",), 1000, False, None),
+        "seed": (("--seed",), 0, False, None),
+        "beta": (("--beta",), None, False, None),
+        "sigma": (("--sigma",), 1.0, False, None),
+        "divergence_sample": (("--divergence-sample",), 10000, False, None),
+        "tol": (("--tol",), 1e-10, False, None),
+    },
+    "series": {**_MODEL, "k_min": (("--k-min",), 5, False, None), "k_max": (("--k-max",), 100, False, None),
+               "format": (("--format",), "csv", False, ("csv", "json"))},
+    "table": {
+        "compact": (("--compact",), False, False, None),
+        "preset": (("--preset",), None, True, ("table1", "table2", "table3", "table4", "table5")),
+        "alpha": (("--alpha",), Fraction(-1), False, None),
+        "format": (("--format",), "json", False, ("csv", "json")),
+        "tol": (("--tol",), 1e-10, False, None),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    (commands,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(OPTIONS)
+    for name, parser in commands.choices.items():
+        got = {
+            a.dest: (tuple(a.option_strings), a.default, a.required, a.choices)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        }
+        assert got == OPTIONS[name], name
+        # the one difference from the option table before parent parsers: validate's --alpha was float
+        assert all(a.type is cli._parse_number for a in parser._actions if a.dest == "alpha"), name

@@ -328,7 +328,7 @@ def test_flagged_pairs_match_double_loop(tmp_path, threshold):
 def _outcome(path, options):
     """Everything load_csv returns, rows as bits, or the message of its DataError."""
     try:
-        with warnings.catch_warnings():  # an inf cell makes the correlation flags warn
+        with warnings.catch_warnings():  # a 1e300 cell overflows the correlation flags
             warnings.simplefilter("ignore", RuntimeWarning)
             ds = load_csv(path, options)
     except DataError as exc:
@@ -457,3 +457,23 @@ def test_load_csv_takes_the_c_reader_on_plain_files(tmp_path, monkeypatch, text,
     dropped_rows = text.count("?") if "missing_strategy" not in fields else 0
     assert ds.rows.shape == (text.count("\n") - 1 - dropped_rows, p)
     assert ds.dropped_row_count == dropped_rows and ds.dropped_columns == dropped
+
+
+@pytest.mark.parametrize("token", ["inf", "-Infinity", "1e500", "NaN", "-nan"])
+@pytest.mark.parametrize("body", ["plain", "quoted", "plain-csv-reader"])
+def test_load_csv_refuses_a_non_finite_cell_by_line_and_column(tmp_path, monkeypatch, token, body):
+    import mlerisk.data_moments as dm
+
+    # line 2 is dropped for its '?' and line 3 is blank, so the cell sits on line 5
+    cell = f'"{token}"' if body == "quoted" else token
+    path = _write(tmp_path, f"a,b,c\n1,?,2\n\n3,4,5\n6,{cell},7\n8,1,9\n2,2,2\n4,6,3\n")
+    # numpy's C reader takes a plain body unless it holds a NaN
+    assert (dm._load_plain(path, LoadOptions()) is not None) == (body != "quoted" and "nan" not in token.lower())
+    if body == "plain-csv-reader":
+        monkeypatch.setattr(dm, "_load_plain", lambda *_: None)
+    with pytest.raises(DataError) as exc:
+        load_csv(path)
+    value = float(token)
+    assert str(exc.value) == f"{path}: line 5: non-finite value {value} in column 'b'"
+    # a non-finite cell in a dropped column is not read
+    assert load_csv(path, LoadOptions(drop_columns=("b",))).p == 2
