@@ -27,8 +27,6 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
-
 from ._quadrature import QuadratureError
 from .benchmarks import coin_equivalent, ide, rss
 from .data_moments import LoadOptions, load_csv, sample_aggregates, standardize
@@ -66,11 +64,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_number(text: str) -> Fraction:
-    """--alpha as an exact rational ('-1', '4.2', '8129/21'); no NaN, infinity or value beyond a double."""
+    """A number option as an exact rational ('-1', '4.2', '8129/21'); no NaN, infinity or overflow."""
     try:
         return _exact_param(text, "the value")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_float(text: str) -> float:
+    """A number option read as ``_parse_number`` reads it, then rounded once to a double."""
+    return float(_parse_number(text))
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    """A comma-separated list option, each entry read by ``_parse_float``."""
+    return tuple(_parse_float(entry) for entry in text.split(","))
 
 
 # The key=value moment sources: their keys, the keys they need, the summary they build.
@@ -135,11 +143,10 @@ def _csv_moments(args):
         correlation_threshold=args.threshold,
         **missing,
     )
-    try:
-        with np.errstate(over="raise"):  # a cell near 1e300 overflows the covariance
-            dataset = load_csv(args.csv, options)
-            std = standardize(dataset)
-            return dataset, std, sample_aggregates(std)
+    try:  # the data path raises on overflow (a cell near 1e300); name the file
+        dataset = load_csv(args.csv, options)
+        std = standardize(dataset)
+        return dataset, std, sample_aggregates(std)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{args.csv}: {exc} in the moments of the data") from None
 
@@ -188,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     error = shared()
     error.add_argument("--error", required=True, help="normal | t:<nu> | skew-normal:<b> | custom:<file>")
     tol = shared()
-    tol.add_argument("--tol", type=float, default=1e-10, help="eta quadrature tolerance")
+    tol.add_argument("--tol", type=_parse_float, default=1e-10, help="eta quadrature tolerance")
     # risk evaluates q at alpha only when --alpha is given; every other command defaults to -1
     alpha, risk_alpha = shared(), shared()
     for parent, default in ((alpha, Fraction(-1)), (risk_alpha, None)):
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("drop_rows", "drop_columns"),
         default="drop_rows",
     )
-    csv_options.add_argument("--threshold", type=float, default=0.99, help="correlation flag threshold")
+    csv_options.add_argument("--threshold", type=_parse_float, default=0.99, help="correlation flag threshold")
     source = shared()
     source.add_argument("--p", type=int, help="number of explanatory variables")
     source.add_argument("--xpreset", help="x moments preset: normal | t[:nu] | controlled | pareto[:b]")
@@ -239,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("validate", parents=[compact, error, alpha, tol], help="Monte-Carlo risk vs. expansion")
     sp.add_argument("--xdist", required=True, choices=X_PRESET_NAMES)
-    sp.add_argument("--xdist-param", type=float)
+    sp.add_argument("--xdist-param", type=_parse_number)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--reps", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--beta", help="comma-separated true beta (default zeros)")
-    sp.add_argument("--sigma", type=float, default=1.0)
+    sp.add_argument("--beta", type=_parse_floats, help="comma-separated true beta (default zeros)")
+    sp.add_argument("--sigma", type=_parse_float, default=1.0)
     sp.add_argument("--divergence-sample", type=int, default=10_000)
 
     sp = add("series", parents=[model, alpha], help="risk series over k at n = (p+2) k")
@@ -318,7 +325,7 @@ def _cmd_eta(args):
 
 def _cmd_validate(args):
     model = error_model_from_spec(args.error)
-    beta = tuple(float(b) for b in args.beta.split(",")) if args.beta else (0.0,) * (args.p + 1)
+    beta = args.beta or (0.0,) * (args.p + 1)
     if len(beta) != args.p + 1:
         raise ConfigError(f"--beta needs p+1 = {args.p + 1} entries")
     alpha = float(args.alpha)  # the simulation and its expansion value are float throughout

@@ -21,6 +21,10 @@ M2a takes whichever of two routes is cheaper for the shape of X:
 
 Either way the work is O(n p min(n, p^2)), and no temporary is larger than
 ``chunk`` rows of the matrix being reduced.
+
+A moment that overflows a double (finite cells near 1e300 overflow the
+covariance) raises ``FloatingPointError`` in ``load_csv``'s correlation
+flags, ``standardize`` and ``sample_aggregates``; none returns a NaN.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ class Dataset:
         return self.rows.shape[1]
 
 
+@np.errstate(over="raise")
 def _flag_correlations(rows: np.ndarray, names, threshold: float):
     x = rows - rows.mean(axis=0)
     sd = x.std(axis=0)
@@ -279,6 +284,7 @@ class StandardizedMatrix:
     condition_number: float
 
 
+@np.errstate(over="raise")
 def standardize(dataset: Dataset) -> StandardizedMatrix:
     """Full PCA whitening: rotate to principal axes, scale to unit variance."""
     x = dataset.rows
@@ -304,6 +310,7 @@ def standardize(dataset: Dataset) -> StandardizedMatrix:
     )
 
 
+@np.errstate(over="raise", invalid="raise")  # inf * 0 from an overflow is invalid
 def sample_aggregates(std: StandardizedMatrix | np.ndarray, chunk: int = 1024) -> dict:
     """M2a, M2b, M1 of the (whitened) score matrix, divisor-n moments.
 
@@ -316,7 +323,11 @@ def sample_aggregates(std: StandardizedMatrix | np.ndarray, chunk: int = 1024) -
     s = (x.T @ r) / n
     m2b = float(s @ s)
     m2a = (_m2a_tensor if p * p < n else _m2a_gram)(x, chunk)
-    return {"M2a": m2a, "M2b": m2b, "M1": m1}
+    aggregates = {"M2a": m2a, "M2b": m2b, "M1": m1}
+    bad = [name for name, value in aggregates.items() if not np.isfinite(value)]
+    if bad:  # einsum reports no overflow, and a quiet NaN score raises nothing
+        raise FloatingPointError(f"{', '.join(bad)} not finite (an overflow or a non-finite score)")
+    return aggregates
 
 
 def _m2a_tensor(x: np.ndarray, chunk: int) -> float:

@@ -7,7 +7,11 @@
 Every quantity in the risk expansion is a linear combination of these.  The
 table is built in closed form for the normal and Student-t families (exact
 rational arithmetic whenever the degrees of freedom are rational) and by
-adaptive tanh-sinh quadrature for everything else.
+adaptive tanh-sinh quadrature for everything else.  The 136 integrals of a
+quadrature table share their node columns: at each level reached, a build
+evaluates the density once and each log-derivative at most once, and every
+integrand multiplies those cached arrays.  Each integral still runs its own
+refinement, so its value, error bound and level are what it gives alone.
 
 Index grid
 ----------
@@ -248,38 +252,73 @@ def eta_t(i: int, j: int, k: int, l: int, nu):
     return _student_t_eta(nu)(i, j, k, l)
 
 
-def eta_quadrature(
-    model: ErrorModel, i: int, j: int, k: int, l: int, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Tanh-sinh evaluation of one eta integral; returns (value, error bound)."""
+class _NodeColumns:
+    """One model's density and log-derivatives at the tanh-sinh nodes of one build.
+
+    ``integrate_real_line`` hands an integrand the same cached grid at each
+    level, and a grid's size identifies its level.  At each level reached,
+    ``pdf`` runs once, giving the columns ``mask`` (f > 0), ``y`` (the
+    masked nodes) and ``g`` (the masked density).  Each ``log_deriv*``
+    runs on that ``y`` the first time an entry asks for it.  Every column is
+    read-only, so the integrals that share them can only multiply them; each
+    is the array a fresh evaluation would give, bit for bit.  The columns
+    live for one build.
+    """
+
+    def __init__(self, model: ErrorModel):
+        self.model = model
+        self._levels: dict[int, dict] = {}  # grid size -> column name -> array
+
+    def __call__(self, y: np.ndarray, name: str) -> np.ndarray:
+        """Column ``name`` ('mask', 'y', 'g' or a ``log_deriv*``) at the level of grid ``y``."""
+        columns = self._levels.get(y.size)
+        if columns is None:
+            f = self.model.pdf(y)
+            mask = f > 0.0
+            columns = self._levels[y.size] = {"mask": mask, "y": y[mask], "g": f[mask]}
+            for column in columns.values():
+                column.setflags(write=False)
+        if name not in columns:
+            columns[name] = getattr(self.model, name)(columns["y"])
+            columns[name].setflags(write=False)
+        return columns[name]
+
+
+def _quadrature_entry(columns: _NodeColumns, i: int, j: int, k: int, l: int, tol: float):
+    """(value, error bound) of eta[i,j,k,l] by tanh-sinh over shared ``columns``."""
     _check_indices(i, j, k, l)
 
     def integrand(y):
-        f = model.pdf(y)
-        out = np.zeros_like(f)
-        mask = f > 0.0
+        out = np.zeros(y.shape)
+        mask = columns(y, "mask")
         if not mask.any():
             return out
-        ym = y[mask]
-        g = f[mask]
+        g = columns(y, "g")
         if i:
-            g = g * model.log_deriv3(ym) ** i
+            g = g * columns(y, "log_deriv3") ** i
         if j:
-            g = g * model.log_deriv2(ym) ** j
+            g = g * columns(y, "log_deriv2") ** j
         if k:
-            g = g * model.log_deriv1(ym) ** k
+            g = g * columns(y, "log_deriv1") ** k
         if l:
-            g = g * ym**l
+            g = g * columns(y, "y") ** l
         out[mask] = g
         return out
 
     res = integrate_real_line(integrand, tol=tol)
     if not res.converged:
         raise EtaTableError(
-            f"quadrature failed to converge for eta[{i},{j},{k},{l}] of {model!r}: "
+            f"quadrature failed to converge for eta[{i},{j},{k},{l}] of {columns.model!r}: "
             f"achieved bound {res.error_bound:.3e} > tol {tol:.1e}"
         )
     return res.value, res.error_bound
+
+
+def eta_quadrature(
+    model: ErrorModel, i: int, j: int, k: int, l: int, tol: float = 1e-10
+) -> tuple[float, float]:
+    """Tanh-sinh evaluation of one eta integral; returns (value, error bound)."""
+    return _quadrature_entry(_NodeColumns(model), i, j, k, l, tol)
 
 
 def build_eta_table(model: ErrorModel, tol: float = 1e-10) -> EtaTable:
@@ -299,9 +338,10 @@ def build_eta_table(model: ErrorModel, tol: float = 1e-10) -> EtaTable:
             entries[idx] = EtaEntry(value, type(value)(0), EtaMethod.CLOSED_FORM)
         exact = isinstance(entries[(0, 0, 0, 0)].value, Fraction)
     else:
+        columns = _NodeColumns(model)
         for idx in GRID:
             try:
-                value, bound = eta_quadrature(model, *idx, tol=tol)
+                value, bound = _quadrature_entry(columns, *idx, tol)
             except (EtaTableError, RuntimeWarning):
                 raise
             except Exception as exc:

@@ -23,6 +23,7 @@ supplied separately.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,6 +135,9 @@ def _pareto_moments(b: Fraction) -> tuple[Fraction, Fraction]:
     return m4, m3sq
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def _exact_param(param, what: str) -> Fraction:
     """A model or preset parameter as an exact rational, 21/5 when not given.
 
@@ -143,6 +147,11 @@ def _exact_param(param, what: str) -> Fraction:
     """
     if param is None:
         return Fraction("4.2")
+    # Fraction builds 10**|exponent|; past the digits given plus 400 the value
+    # overflows a double or rounds to 0, so refuse it before that work
+    exponent = _EXPONENT.search(param) if isinstance(param, str) else None
+    if exponent and abs(float(exponent[1])) > 400 + len(param):
+        raise ValueError(f"{what} has an exponent beyond the range of a double, got {param!r}")
     try:
         value = Fraction(param)
         float(value)  # raises OverflowError beyond the range of a double

@@ -320,10 +320,13 @@ def test_non_finite_input_ends_in_a_clean_exit(argv, kind, name):
 @pytest.mark.parametrize(
     "argv,name",
     [
-        (["risk", "--error", "skew-normal:3", "--xpreset", "normal", "--p", "3", "--tol", "nan"], "tol"),
-        (["risk", "--error", "skew-normal:3", "--xpreset", "normal", "--p", "3", "--tol", "inf"], "tol"),
+        (["risk", "--error", "skew-normal:3", "--xpreset", "normal", "--p", "3", "--tol", "nan"],
+         "argument --tol: the value must be finite (a number such as 3, 4.2 or 21/5), got 'nan'"),
+        (["risk", "--error", "skew-normal:3", "--xpreset", "normal", "--p", "3", "--tol", "inf"],
+         "argument --tol: the value must be finite (a number such as 3, 4.2 or 21/5), got 'inf'"),
         (["risk", "--error", "skew-normal:3", "--xpreset", "normal", "--p", "3", "--tol", "0"], "tol"),
-        (["eta", "dump", "--error", "skew-normal:3", "--tol", "nan"], "tol"),
+        (["eta", "dump", "--error", "skew-normal:3", "--tol", "nan"],
+         "argument --tol: the value must be finite (a number such as 3, 4.2 or 21/5), got 'nan'"),
         (["risk", "--error", "normal", "--homogeneous", "m4=3,m22=1,m3=1e200", "--p", "10"], "m3_squared"),
         (["risk", "--error", "normal", "--aggregated", "M2a=1e400,M2b=0,M1=121", "--p", "10"], "M2a"),
         (["validate", "--error", "normal", "--xdist", "normal", "--p", "1", "--n", "50", "--reps", "5",
@@ -344,12 +347,13 @@ def test_out_of_range_input_is_refused_by_name(capsys, argv, name):
 @pytest.mark.parametrize(
     "argv,name",
     [
-        (["validate", "--sigma", "nan"], "sigma"),
-        (["validate", "--sigma", "inf"], "sigma"),
-        (["validate", "--beta", "nan,0"], "beta"),
-        (["validate", "--xdist", "t", "--xdist-param", "nan"], "t preset nu"),
-        (["validate", "--xdist", "pareto", "--xdist-param", "inf"], "Pareto preset index b"),
-        (["validate", "--p", "0", "--beta", "0", "--xdist", "t", "--xdist-param", "nan"], "x_dist_param"),
+        (["validate", "--sigma", "nan"], "argument --sigma"),
+        (["validate", "--sigma", "inf"], "argument --sigma"),
+        (["validate", "--beta", "nan,0"], "argument --beta"),
+        (["validate", "--xdist", "t", "--xdist-param", "nan"], "argument --xdist-param"),
+        (["validate", "--xdist", "pareto", "--xdist-param", "inf"], "argument --xdist-param"),
+        (["validate", "--p", "0", "--beta", "0", "--xdist", "t", "--xdist-param", "nan"],
+         "argument --xdist-param"),
         (["risk", "--error", "skew-normal:nan", "--xpreset", "normal", "--p", "3"], "skew-normal shape b"),
         (["risk", "--error", "skew-normal:inf", "--xpreset", "normal", "--p", "3"], "skew-normal shape b"),
         (["risk", "--error", "skew-normal:1/0", "--xpreset", "normal", "--p", "3"], "skew-normal shape b"),
@@ -407,18 +411,27 @@ def test_unreadable_input_file_is_config_error(tmp_path, capsys, argv):
     assert error["error"].startswith(argv[-1].removeprefix("custom:") + ": cannot read")
 
 
-@pytest.mark.parametrize("threshold", ["nan", "-0.5", "2"])
-def test_correlation_threshold_outside_the_unit_interval_is_config_error(tmp_path, capsys, threshold):
+@pytest.mark.parametrize(
+    "threshold,name",
+    [("nan", "argument --threshold"), ("-0.5", "correlation_threshold"), ("2", "correlation_threshold")],
+    ids=["nan", "-0.5", "2"],
+)
+def test_correlation_threshold_outside_the_unit_interval_is_config_error(tmp_path, capsys, threshold, name):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n1,2\n3,5\n4,4\n2,7\n5,1\n")
     code, out, err = run_cli(capsys, "moments", str(path), "--threshold", threshold)
     assert code == 2
     assert out == ""
-    assert "correlation_threshold" in json.loads(err)["error"]
+    assert name in json.loads(err)["error"]
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "inf"])
-def test_validate_checks_the_eta_tolerance_before_the_simulation(capsys, monkeypatch, tol):
+@pytest.mark.parametrize(
+    "tol,message",
+    [("nan", "argument --tol: the value must be finite"), ("0", "tol must be positive and finite"),
+     ("inf", "argument --tol: the value must be finite")],
+    ids=["nan", "0", "inf"],
+)
+def test_validate_checks_the_eta_tolerance_before_the_simulation(capsys, monkeypatch, tol, message):
     from mlerisk import cli
 
     def unreachable(*_, **__):
@@ -433,7 +446,7 @@ def test_validate_checks_the_eta_tolerance_before_the_simulation(capsys, monkeyp
     assert out == ""
     error = json.loads(err)
     assert error["kind"] == "config"
-    assert error["error"].startswith("tol must be positive and finite")
+    assert error["error"].startswith(message)
 
 
 @pytest.mark.parametrize(
@@ -442,16 +455,19 @@ def test_validate_checks_the_eta_tolerance_before_the_simulation(capsys, monkeyp
         (["risk", "--error", "normal", "--xpreset", "normal", "--p", "abc"],
          "argument --p: invalid int value: 'abc'"),
         (["validate", "--error", "normal", "--xdist", "t", "--xdist-param", "1/0", "--p", "1", "--n", "50",
-          "--reps", "2"], "argument --xdist-param: invalid float value: '1/0'"),
+          "--reps", "2"],
+         "argument --xdist-param: the value must be finite (a number such as 3, 4.2 or 21/5), got '1/0'"),
         (["nosuch"], "argument command: invalid choice: 'nosuch'"),
         (["risk", "--xpreset", "normal", "--p", "3"], "the following arguments are required: --error"),
         (["ide", "--error", "normal", "--xpreset", "normal", "--p", "3", "--alpha", "1e400"],
          "argument --alpha: the value must be finite (a number such as 3, 4.2 or 21/5), got '1e400'"),
         (["risk", "--error", "normal", "--xpreset", "normal", "--p", "3", "--alpha", "x"],
          "argument --alpha: the value must be finite (a number such as 3, 4.2 or 21/5), got 'x'"),
+        (["eta", "dump", "--error", "skew-normal:3", "--tol", "1e-999999999"],
+         "argument --tol: the value has an exponent beyond the range of a double, got '1e-999999999'"),
     ],
     ids=["p-not-an-int", "xdist-param-zero-denominator", "unknown-subcommand", "missing-error",
-         "alpha-beyond-a-double", "alpha-not-a-number"],
+         "alpha-beyond-a-double", "alpha-not-a-number", "tol-exponent-beyond-a-double"],
 )
 def test_command_line_usage_error_is_a_json_config_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -527,6 +543,28 @@ def test_validate_takes_a_fractional_alpha(capsys):
     half = run_cli(capsys, *argv, "--alpha", "1/2")
     assert half[0] == 0
     assert half == run_cli(capsys, *argv, "--alpha", "0.5")
+
+
+def test_validate_reads_every_number_option_exactly(capsys):
+    argv = ["validate", "--error", "normal", "--xdist", "pareto", "--p", "1", "--n", "60", "--reps", "20"]
+    exact = run_cli(capsys, *argv, "--xdist-param", "21/5", "--sigma", "1/2", "--beta", "1/4,-3/2",
+                    "--tol", "1/10000000000")
+    assert exact[0] == 0
+    assert exact == run_cli(capsys, *argv, "--xdist-param", "4.2", "--sigma", "0.5", "--beta", "0.25,-1.5",
+                            "--tol", "1e-10")
+    # the same expansion as the exact preset parameter
+    code, out, _ = run_cli(capsys, "risk", "--error", "normal", "--xpreset", "pareto:21/5", "--p", "1",
+                           "--alpha", "-1", "--n", "60")
+    assert code == 0
+    assert json.loads(exact[1])["expansion"] == pytest.approx(json.loads(out)["ed"], rel=1e-14)
+
+
+def test_threshold_is_read_exactly(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,2\n3,5\n4,4\n2,7\n5,1\n")
+    fraction = run_cli(capsys, "moments", str(path), "--threshold", "99/100")
+    assert fraction[0] == 0
+    assert fraction == run_cli(capsys, "moments", str(path))
 
 
 @pytest.mark.parametrize("p", [0, 1])

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -326,13 +324,13 @@ def test_flagged_pairs_match_double_loop(tmp_path, threshold):
 
 
 def _outcome(path, options):
-    """Everything load_csv returns, rows as bits, or the message of its DataError."""
+    """Everything load_csv returns, rows as bits, or the error it raises.
+
+    A 1e300 cell overflows the correlation flags: a FloatingPointError."""
     try:
-        with warnings.catch_warnings():  # a 1e300 cell overflows the correlation flags
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ds = load_csv(path, options)
-    except DataError as exc:
-        return str(exc)
+        ds = load_csv(path, options)
+    except (DataError, FloatingPointError) as exc:
+        return f"{type(exc).__name__}: {exc}"
     return (ds.column_names, ds.rows.shape, ds.rows.view(np.int64).tolist(),
             ds.dropped_columns, ds.dropped_row_count, ds.flagged_pairs)
 
@@ -373,7 +371,9 @@ _DIFFERENTIAL = [
     ("NaN-is-a-number", "a,b\n1,NaN\n3,4\n5,7\n8,1\n", {}, False),
     ("NAN-holds-a-token", "a,b\n1,NAN\n3,4\n5,7\n8,1\n", {}, False),
     ("number-spellings", "a,b\n+.5,5.\n-0,1e500\n 7 ,1E-5\n-.25e+2,0x1\n", dict(drop_columns=()), False),
+    # the same spellings read to the same bits, -0's sign included; 1e300 overflows the correlation flags
     ("number-spellings-clean", "a,b\n+.5,5.\n-0,1e300\n 7 ,1E-5\n-.25e+2,3\n", {}, True),
+    ("number-spellings-finite", "a,b\n+.5,5.\n-0,1e100\n 7 ,1E-5\n-.25e+2,3\n", {}, True),
     ("empty-kept-cell", "a,b\n1,\n3,4\n5,7\n8,9\n", {}, False),
     ("empty-cell-dropped-column", "a,b,c\n1,,2\n3,4,5\n5,7,1\n8,9,3\n", dict(drop_columns=("b",)), True),
     ("empty-not-missing", "a,b\n1,\n3,4\n5,7\n8,9\n", dict(missing_tokens=("?",)), False),
@@ -477,3 +477,25 @@ def test_load_csv_refuses_a_non_finite_cell_by_line_and_column(tmp_path, monkeyp
     assert str(exc.value) == f"{path}: line 5: non-finite value {value} in column 'b'"
     # a non-finite cell in a dropped column is not read
     assert load_csv(path, LoadOptions(drop_columns=("b",))).p == 2
+
+
+def test_library_data_path_refuses_overflow(tmp_path):
+    """Finite cells near 1e300 overflow the moments: each stage raises, none returns a NaN."""
+    from mlerisk.data_moments import Dataset
+
+    caller = np.geterr()
+    path = _write(tmp_path, "a,b\n+.5,5.\n-0,1e300\n 7 ,1E-5\n-.25e+2,3\n")
+    with pytest.raises(FloatingPointError, match="overflow"):
+        sample_aggregates(standardize(load_csv(path)))
+    rows = np.array([[0.5, 5.0], [0.0, 1e300], [7.0, 1e-5], [-25.0, 3.0]])
+    with pytest.raises(FloatingPointError, match="overflow"):
+        standardize(Dataset(("a", "b"), rows))
+    # the first overflow shows in different places: inf * 0, a matmul, M2a's einsum (which reports none)
+    tall = np.abs(np.random.default_rng(0).standard_normal((50, 3))) * 10**50.75
+    for scores, message in ((rows, "invalid"), (rows + 1, "overflow"), (tall, "^M2a not finite")):
+        with pytest.raises(FloatingPointError, match=message):
+            sample_aggregates(scores)
+    # a quiet NaN score raises no floating-point error; the result is refused by name all the same
+    with pytest.raises(FloatingPointError, match=r"^M2a, M2b, M1 not finite \(an overflow or a non-finite score\)$"):
+        sample_aggregates(np.where(rows < 1e300, rows, np.nan))
+    assert np.geterr() == caller  # the caller's own settings are left as they were

@@ -179,6 +179,18 @@ def test_error_model_from_spec():
                 error_model_from_spec(f"{family}:{param}")
 
 
+def test_a_parameter_exponent_beyond_a_double_is_refused_before_it_is_built():
+    # Fraction would build 10**999999999 for these; the refusal needs no such power
+    for param in ("1e-999999999", "-2.5E+999999999", "1e1_000_000", "3e-99999999999999999999999"):
+        with pytest.raises(ValueError, match="^skew-normal shape b has an exponent beyond the range of a double"):
+            error_model_from_spec(f"skew-normal:{param}")
+    # an exponent a double's range can still use is read as before
+    assert error_model_from_spec("skew-normal:1e-400").param == 0.0
+    assert error_model_from_spec("skew-normal:0.0000000001e309").param == 1e299
+    with pytest.raises(ValueError, match="^skew-normal shape b must be finite"):
+        error_model_from_spec("skew-normal:1e400")
+
+
 @pytest.mark.parametrize("nu", [0, -1.5, math.inf, math.nan])
 def test_student_t_refuses_nu_outside_the_positive_reals(nu):
     with pytest.raises(ValueError, match="^t degrees of freedom nu must be positive and finite"):

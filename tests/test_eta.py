@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -5,10 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mlerisk.error_models import normal_error, skew_normal_error, student_t_error
+from mlerisk._quadrature import _cached_nodes_weights
+from mlerisk.error_models import custom_error, normal_error, skew_normal_error, student_t_error
 from mlerisk.eta import (
     GRID,
     EtaMethod,
+    _NodeColumns,
     build_eta_table,
     eta_normal,
     eta_quadrature,
@@ -197,6 +201,71 @@ def test_table_jsonable(normal_table):
     assert payload["0,0,2,0"]["value"] == 1.0
     assert payload["0,0,2,0"]["method"] == "closed_form"
     assert payload["0,0,2,0"]["exact"] == "1"
+
+
+def _custom_skew_normal(b: str):
+    r = f"phi({b}*y)/Phi({b}*y)"
+    return custom_error(
+        f"logf = log(2) - y^2/2 - log(2*pi)/2 + log(Phi({b}*y))\n"
+        f"d1 = -y + {b}*{r}\n"
+        f"d2 = -1 - {b}^3*y*{r} - {b}^2*({r})^2\n"
+        f"d3 = {b}^3*(2*({r})^3 + 3*{b}*y*({r})^2 + ({b}^2*y^2 - 1)*{r})\n",
+        label=f"custom skew-normal({b})",
+    )
+
+
+QUADRATURE_MODELS = {
+    "skew-normal(0.5)": lambda: skew_normal_error(0.5),
+    "skew-normal(3)": lambda: skew_normal_error(3.0),
+    "custom-skew-normal(2)": lambda: _custom_skew_normal("2"),
+}
+
+
+@pytest.mark.parametrize("make", QUADRATURE_MODELS.values(), ids=QUADRATURE_MODELS)
+def test_shared_columns_build_equals_per_entry_quadrature_bit_for_bit(make):
+    model = make()
+    table = build_eta_table(model)
+    for idx in GRID:
+        value, bound = eta_quadrature(model, *idx)
+        assert table.value(*idx).hex() == value.hex(), idx
+        assert table.bound(*idx).hex() == bound.hex(), idx
+
+
+@pytest.mark.parametrize("make", QUADRATURE_MODELS.values(), ids=QUADRATURE_MODELS)
+def test_a_build_evaluates_the_model_once_per_level(make):
+    model = make()
+    sizes = collections.defaultdict(list)  # function name -> grid sizes it was called at
+
+    def counted(name):
+        fn = getattr(model, name)
+
+        def call(y):
+            sizes[name].append(y.size)
+            return fn(y)
+
+        return call
+
+    names = ("pdf", "log_deriv1", "log_deriv2", "log_deriv3")
+    build_eta_table(dataclasses.replace(model, **{name: counted(name) for name in names}))
+    # pdf runs once at each full level grid reached: levels 0..L, each once
+    reached = [_cached_nodes_weights(level)[0].size for level in range(len(sizes["pdf"]))]
+    assert sizes["pdf"] == reached and len(reached) >= 3
+    # the derivatives see the masked nodes, whose count differs from level to level
+    masked = {
+        int(np.count_nonzero(model.pdf(_cached_nodes_weights(level)[0]) > 0.0)) for level in range(len(reached))
+    }
+    for name in names[1:]:
+        assert len(sizes[name]) == len(set(sizes[name])) <= len(reached), name
+        assert set(sizes[name]) <= masked, name
+
+
+def test_node_columns_are_read_only():
+    columns = _NodeColumns(skew_normal_error(3.0))
+    y = _cached_nodes_weights(2)[0]
+    for name in ("mask", "y", "g", "log_deriv1", "log_deriv2", "log_deriv3"):
+        column = columns(y, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
 
 
 @pytest.mark.slow
