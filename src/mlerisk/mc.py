@@ -11,7 +11,13 @@ The divergence at a regressor x depends on x only through the shift delta
 between the two regression means, so one replication certifies D(delta) on
 a Chebyshev-Lobatto grid over its delta range (Trefethen, *Approximation
 Theory and Approximation Practice*) and averages the interpolant over the
-x sample, instead of integrating once per x.
+x sample, instead of integrating once per x.  The certificate is absolute,
+1e-9, or the grid's rounding floor 50 eps max|D| where D is too large to
+resolve 1e-9.  Only the leading coefficients that matter are evaluated: the
+series is chopped where the dropped tail sums to a quarter of that
+tolerance (Aurentz & Trefethen, *ACM TOMS* 43, 2017), which moves no value
+by more.  Whether a sample has enough distinct deltas for the grid is
+decided from its first rows when they suffice, without sorting the sample.
 
 Replications draw their RNG streams from (seed, replication index), so
 results do not depend on execution order and the estimator is reproducible
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from ._quadrature import _cached_new_nodes_weights, _cached_nodes_weights, integrate_real_line
+from ._quadrature import _EPS, _cached_new_nodes_weights, _cached_nodes_weights, integrate_real_line
 from .error_models import ErrorModel, ModelKind
 from .moments import X_PRESET_NAMES
 
@@ -277,7 +283,7 @@ def _neg_entropy(model: ErrorModel) -> float:
 
 _START_LEVEL = 2
 _MAX_LEVEL = 10
-_TOL = 1e-9  # absolute; certifies each quadrature and each Chebyshev profile
+_TOL = 1e-9  # absolute; certifies each quadrature, and each Chebyshev profile above its rounding floor
 
 
 def _refined_batch(weighted_row_sum):
@@ -360,15 +366,28 @@ def _cheb_coefficients(values):
     return coeffs
 
 
+def _chopped(coeffs, tol):
+    """The shortest leading part of ``coeffs`` whose dropped tail sums to at most ``tol``.
+
+    |T_k| <= 1 on [-1, 1], so the part differs from the whole series by at
+    most ``tol`` anywhere on the interval.
+    """
+    tails = np.cumsum(np.abs(coeffs[::-1]))[::-1]  # tails[k] = sum_{j >= k} |c_j|
+    return coeffs[: max(1, int(np.count_nonzero(tails > tol)))]
+
+
 def _certified_profile(profile, lo, hi):
     """Chebyshev coefficients of D on [lo, hi], or None if not certified.
 
     ``profile(deltas)`` returns (values, certified mask).  The N-interval
     interpolant is checked against the values at the N new nodes of the
-    2N-interval grid; once they agree to ``_TOL`` (and every node's
-    quadrature is certified) the 2N interpolant is returned.  N doubles
-    from ``_CHEB_FIRST``, reusing the values already computed, up to
-    ``_CHEB_CAP`` intervals.
+    2N-interval grid; once they agree to max(``_TOL``, 50 eps max|D|) -- the
+    rounding floor of the grid's largest value, as in
+    :func:`integrate_real_line` -- and every node's quadrature is certified,
+    the 2N interpolant is returned, chopped to the leading coefficients whose
+    dropped tail sums to a quarter of that tolerance.  N doubles from
+    ``_CHEB_FIRST``, reusing the values already computed, up to ``_CHEB_CAP``
+    intervals.
     """
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     n_intervals = _CHEB_FIRST
@@ -378,10 +397,16 @@ def _certified_profile(profile, lo, hi):
         new, ok = profile(mid + half * t_new)
         merged = np.empty(2 * n_intervals + 1)
         merged[0::2], merged[1::2] = values, new
-        if ok.all() and np.max(np.abs(chebval(t_new, _cheb_coefficients(values)) - new)) <= _TOL:
-            return _cheb_coefficients(merged)
+        tol = max(_TOL, 50 * _EPS * float(np.max(np.abs(merged))))
+        if ok.all() and np.max(np.abs(chebval(t_new, _cheb_coefficients(values)) - new)) <= tol:
+            return _chopped(_cheb_coefficients(merged), tol / 4.0)
         values, n_intervals = merged, 2 * n_intervals
     return None
+
+
+# Rows whose distinct deltas are counted first: more than the first grid's
+# 2 * _CHEB_FIRST + 1 nodes among them settles the path without a full sort.
+_HEAD_ROWS = 64
 
 
 def divergence(model, theta1, theta2, alpha, x_sample):
@@ -392,10 +417,14 @@ def divergence(model, theta1, theta2, alpha, x_sample):
     x points whose divergence failed to certify to 1e-9).
 
     Each per-x divergence depends on x only through the shift delta between
-    the two regression means.  With few distinct deltas they are integrated
-    one by one; otherwise D(delta) is certified once on a Chebyshev grid over
-    [min delta, max delta] and its interpolant is averaged over the sample.
-    If that grid cannot be certified, every distinct delta is integrated.
+    the two regression means.  With no more distinct deltas than the first
+    Chebyshev grid has nodes they are integrated one by one; otherwise D(delta)
+    is certified once on a Chebyshev grid over [min delta, max delta] (see
+    :func:`_certified_profile` for the tolerance and the chop) and its
+    interpolant is averaged over the sample.  The first ``_HEAD_ROWS`` rows
+    are counted first: when they alone hold more distinct deltas than the
+    grid has nodes, the sample is not sorted.  If the grid cannot be
+    certified, every distinct delta is integrated.
     """
     b1, s1 = np.asarray(theta1[0], dtype=float), float(theta1[1])
     b2, s2 = np.asarray(theta2[0], dtype=float), float(theta2[1])
@@ -410,13 +439,16 @@ def divergence(model, theta1, theta2, alpha, x_sample):
     def profile(ds):
         return _divergence_profile(model, ds, s1, s2, alpha)
 
-    uniq, counts = np.unique(deltas, return_counts=True)
+    uniq = np.unique(deltas[:_HEAD_ROWS])
+    if uniq.size <= 2 * _CHEB_FIRST + 1:
+        uniq, counts = np.unique(deltas, return_counts=True)
     if uniq.size > 2 * _CHEB_FIRST + 1:
-        lo, hi = uniq[0], uniq[-1]
+        lo, hi = deltas.min(), deltas.max()
         coeffs = _certified_profile(profile, lo, hi)
         if coeffs is not None:
             t = np.clip((2.0 * deltas - (hi + lo)) / (hi - lo), -1.0, 1.0)
             return float(np.mean(chebval(t, coeffs))), 0
+        uniq, counts = np.unique(deltas, return_counts=True)
     vals, ok = profile(uniq)
     return float(counts @ vals) / deltas.size, int(counts[~ok].sum())
 

@@ -339,6 +339,20 @@ def _profile_sizes(monkeypatch):
     return sizes, direct
 
 
+def _chops(monkeypatch):
+    """Record each certified series handed to the chop, its tolerance and what it keeps."""
+    chops = []
+    chop = mc._chopped
+
+    def recorded(coeffs, tol):
+        kept = chop(coeffs, tol)
+        chops.append((coeffs, tol, kept))
+        return kept
+
+    monkeypatch.setattr(mc, "_chopped", recorded)
+    return chops
+
+
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0, 3.0])
 @pytest.mark.parametrize("model", [normal_error(), student_t_error(3), skew_normal_error(3.0)], ids=repr)
 @pytest.mark.parametrize("x_dist", ["t", "pareto"])
@@ -360,9 +374,21 @@ def test_chebyshev_divergence_matches_per_delta(monkeypatch, x_dist, model, alph
     assert ok.all()
     assert abs(value - float(np.mean(per_x))) <= 2 * tol
     lo, hi = deltas.min(), deltas.max()
+    chops = _chops(monkeypatch)
     coeffs = mc._certified_profile(lambda d: direct(model, d, s1, s2, alpha), lo, hi)
     t = (2.0 * deltas - (hi + lo)) / (hi - lo)
-    assert np.max(np.abs(np.polynomial.chebyshev.chebval(t, coeffs) - per_x)) <= 2 * tol
+    chebval = np.polynomial.chebyshev.chebval
+    assert np.max(np.abs(chebval(t, coeffs) - per_x)) <= 2 * tol
+
+    # the evaluated series is the shortest leading part of the certified one
+    # whose dropped tail sums to at most tol / 4, and moves no value by more
+    [(full, chop_tol, kept)] = chops
+    assert kept is coeffs and chop_tol == tol / 4  # |D| is far below the rounding floor's reach
+    m = coeffs.size
+    assert np.array_equal(coeffs, full[:m])
+    assert np.abs(full[m:]).sum() <= tol / 4
+    assert m == 1 or np.abs(full[m - 1:]).sum() > tol / 4
+    assert np.max(np.abs(chebval(t, coeffs) - chebval(t, full))) <= tol / 4
 
 
 def test_divergence_falls_back_when_the_profile_does_not_certify(monkeypatch):
@@ -377,6 +403,38 @@ def test_divergence_falls_back_when_the_profile_does_not_certify(monkeypatch):
     assert sizes[-1] == 200 and sum(sizes[:-1]) == mc._CHEB_CAP + 1
     per_x, ok = direct(model, xs[:, 0] * 1e4, 1.0, 1.0, -1.0)
     assert ok.all() and value == pytest.approx(float(np.mean(per_x)), abs=1e-12)
+
+
+def test_a_head_with_few_deltas_still_takes_the_grid_when_the_sample_has_many(monkeypatch):
+    """The first rows hold 2 distinct deltas and the whole sample 202: the
+    path is decided by the whole sample, as it would be without the head."""
+    model = student_t_error(3)
+    xs = np.concatenate([np.tile([-1.0, 1.0], mc._HEAD_ROWS // 2), np.linspace(-1.0, 1.0, 200)])[:, None]
+    b1, s1, b2, s2 = np.array([0.1, 0.5]), 1.1, np.zeros(2), 1.0
+    deltas = b1[0] + xs[:, 0] * b1[1]
+    assert np.unique(deltas[: mc._HEAD_ROWS]).size == 2 and np.unique(deltas).size >= 40
+    sizes, direct = _profile_sizes(monkeypatch)
+    value, fails = divergence(model, (b1, s1), (b2, s2), -1.0, xs)
+    assert fails == 0
+    assert sizes[0] == mc._CHEB_FIRST + 1 and sum(sizes) <= mc._CHEB_CAP + 1
+    per_x, ok = direct(model, deltas, s1, s2, -1.0)
+    assert ok.all() and abs(value - float(np.mean(per_x))) <= 2e-9
+
+
+def test_a_profile_beyond_1e_9_resolution_certifies_at_its_rounding_floor(monkeypatch):
+    """At alpha = 3, skew-normal(3) reaches |D| ~ 8e5 on this delta range, where
+    1e-9 is below the rounding of D: the grid certifies against 50 eps max|D|
+    instead of integrating all 10^4 deltas one by one."""
+    model = skew_normal_error(3.0)
+    xs = np.linspace(-1.87, 1.51, 10_000)[:, None]
+    b1, s1, b2, s2 = np.array([0.0, 1.0]), 1.1, np.zeros(2), 1.0
+    sizes, direct = _profile_sizes(monkeypatch)
+    value, fails = divergence(model, (b1, s1), (b2, s2), 3.0, xs)
+    assert fails == 0 and sum(sizes) <= mc._CHEB_CAP + 1  # no per-delta fallback
+    per_x, ok = direct(model, xs[:, 0], s1, s2, 3.0)
+    floor = 50 * np.finfo(float).eps * float(np.max(np.abs(per_x)))
+    assert ok.all() and floor > mc._TOL
+    assert abs(value - float(np.mean(per_x))) <= floor
 
 
 def test_divergence_with_few_distinct_deltas_integrates_each(monkeypatch):
