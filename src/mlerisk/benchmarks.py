@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expansion import RiskExpansion
+from .expansion import RiskExpansion, _exact_sum
 
 __all__ = [
     "binomial_bracket",
@@ -37,15 +37,14 @@ __all__ = [
 ]
 
 
-def _alpha_prime(alpha):
-    if isinstance(alpha, (int, Fraction)):
-        return Fraction(1 - alpha, 2)
-    return (1.0 - alpha) / 2.0
-
-
 def binomial_bracket(alpha):
     """(coef_M, coef_1) with bracket = coef_M * M + coef_1, M = 1/m + 1/(1-m)."""
-    ap = _alpha_prime(alpha)
+    if isinstance(alpha, (int, Fraction)):
+        # in alpha itself, each reduced once: 3a'^2 - 11a' + 10 = (3 alpha^2 + 16 alpha + 21)/4
+        # and -9a'^2 + 29a' - 22 = (-9 alpha^2 - 40 alpha - 39)/4
+        coefficients = ((3, 16, 21), (-9, -40, -39))
+        return tuple(_exact_sum(((a, alpha, alpha), (b, alpha), (c,)), 4) for a, b, c in coefficients)
+    ap = (1.0 - alpha) / 2.0
     return 3 * ap * ap - 11 * ap + 10, -9 * ap * ap + 29 * ap - 22
 
 

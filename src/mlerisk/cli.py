@@ -168,11 +168,14 @@ def _expansion_from_args(args):
     return exp, payload
 
 
+_NOT_FINITE = "a result is not finite (NaN or infinity); nothing was printed"
+
+
 def _emit(args, payload) -> None:
     try:
         text = json.dumps(payload, indent=None if args.compact else 2, allow_nan=False)
     except ValueError:  # a NaN or an infinity, which JSON cannot hold
-        raise ArithmeticError("a result is not finite (NaN or infinity); nothing was printed") from None
+        raise ArithmeticError(_NOT_FINITE) from None
     sys.stdout.write(text + "\n")
 
 
@@ -439,7 +442,9 @@ def main(argv=None) -> int:
         sys.stderr.write("\n")
         return 2
     except (ArithmeticError, EtaTableError, QuadratureError) as exc:
-        json.dump({"error": str(exc), "kind": "numeric"}, sys.stderr)
+        # an exact result beyond a double's range is reported as its float, an infinity, would be
+        message = _NOT_FINITE if isinstance(exc, OverflowError) else str(exc)
+        json.dump({"error": message, "kind": "numeric"}, sys.stderr)
         sys.stderr.write("\n")
         return 3
     return 0

@@ -187,6 +187,8 @@ def l_terms(table: EtaTable, moments) -> LTerms:
     w, G = _metric(table)
     p = agg.p
     M2a, M2b, M1 = agg.M2a, agg.M2b, agg.M1
+    if isinstance(w, float):  # each product below would round a moment to float anyway; do it once
+        M2a, M2b, M1 = float(M2a), float(M2b), float(M1)
     P = [(a, b, gab) for (a, b), gab in G.items()]  # (a, b, g^ab), special pair
     P2 = [(i, j, k, l, gij * gkl) for i, j, gij in P for k, l, gkl in P]
     T3 = [(a, b, c) for a in _S for b in _S for c in _S]
@@ -303,6 +305,28 @@ def _q(lt: LTerms, p) -> tuple:
     return A / 96, -(A + B) / 48, (A + 2 * B + 4 * C) / 96
 
 
+def _exact_sum(terms, scale: int = 1):
+    """Sum of products of ints and Fractions, over ``scale``, as one Fraction.
+
+    Integer numerators over one denominator, reduced once by the Fraction
+    constructor instead of once per operation (Knuth, TAOCP 2, 4.5.1).  None
+    when an operand is not an int or a Fraction: the caller then keeps its
+    own expression, so a float result keeps its bits.
+    """
+    num, den = 0, 1
+    for term in terms:
+        n = d = 1
+        for x in term:
+            if isinstance(x, int):
+                n *= x
+            elif isinstance(x, Fraction):
+                n, d = n * x.numerator, d * x.denominator
+            else:
+                return None
+        num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
+    return Fraction(num, den * scale)
+
+
 @dataclass(frozen=True)
 class RiskExpansion:
     """ED(alpha, n) ~ main/n + (qa alpha^2 + qb alpha + qc)/n^2."""
@@ -322,11 +346,18 @@ class RiskExpansion:
         return (self.qa, self.qb, self.qc - 1)
 
     def q(self, alpha):
+        terms = ((self.qa, alpha, alpha), (self.qb, alpha), (self.qc,))
+        if self.is_exact() and (q := _exact_sum(terms)) is not None:  # qa a Fraction: so is the plain q
+            return q
         return self.qa * alpha * alpha + self.qb * alpha + self.qc
 
     def evaluate(self, alpha, n: int):
         if n < 1:
             raise ValueError("n must be a positive integer")
+        if isinstance(self.main, Fraction) and self.is_exact():  # both terms below are Fractions
+            ed = _exact_sum(((self.main, n), (self.qa, alpha, alpha), (self.qb, alpha), (self.qc,)), n * n)
+            if ed is not None:  # (main n + q(alpha))/n^2, reduced once
+                return ed
         return self.main / n + self.q(alpha) / (n * n)
 
     def is_exact(self) -> bool:
@@ -432,7 +463,8 @@ def risk_expansion(table: EtaTable, moments, with_error: bool = True) -> RiskExp
     agg = to_aggregated(moments)
     p = agg.p
     basis = (1, p, p * p, agg.M2a, agg.M2b, agg.M1)
-    qa, qb, qc = (sum(k * b for k, b in zip(row, basis)) for row in _kernel(table))
+    dots = [(_exact_sum(zip(row, basis)), row) for row in _kernel(table)]  # None for a float row of K
+    qa, qb, qc = (sum(k * b for k, b in zip(row, basis)) if q is None else q for q, row in dots)
     main = Fraction(p + 2, 2) if isinstance(qa, Fraction) else (p + 2) / 2
     q_ref = qa - qb + qc  # alpha = -1, the reference divergence
     coeff_error = 0.0

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import exact_cases
+from mlerisk import benchmarks
 from mlerisk.benchmarks import (
     binomial_bracket,
     binomial_risk,
@@ -10,7 +12,7 @@ from mlerisk.benchmarks import (
     rss,
     solve_rss_at_k,
 )
-from mlerisk.expansion import risk_expansion
+from mlerisk.expansion import RiskExpansion, risk_expansion
 from mlerisk.moments import AggregatedMoments, x_preset
 
 F = Fraction
@@ -208,3 +210,55 @@ def test_series_decreasing_beyond_validity_all_reference_configs(
         ks = [k for k in range(5, 151) if (exp.p + 2) * k >= exp.validity_n_min]
         values = [float(exp.evaluate(-1.0, (exp.p + 2) * k)) for k in ks]
         assert all(a > b for a, b in zip(values, values[1:])), table.model_label
+
+
+# --- rational paths against their plain expressions -------------------------------
+
+
+def _plain_bracket(alpha):
+    ap = F(1 - alpha, 2) if isinstance(alpha, (int, F)) else (1.0 - alpha) / 2.0
+    return 3 * ap * ap - 11 * ap + 10, -9 * ap * ap + 29 * ap - 22
+
+
+class _PlainExpansion(RiskExpansion):
+    def q(self, alpha):
+        return self.qa * alpha * alpha + self.qb * alpha + self.qc
+
+    def evaluate(self, alpha, n):
+        return self.main / n + self.q(alpha) / (n * n)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def test_bracket_and_binomial_risk_equal_their_plain_expressions():
+    for alpha in exact_cases.ALPHAS + (F(10**30, 7), True):
+        assert exact_cases.same(binomial_bracket(alpha), _plain_bracket(alpha)), alpha
+        for m in (F(1, 2), F(1, 3), 0.5):
+            for k in (1, 10, 100, 12345):
+                cM, c1 = _plain_bracket(alpha)
+                q = (cM * (1 / (m * (1 - m))) + c1) / 24
+                want = (F(1, 2) if isinstance(q, F) else 0.5) / k + q / (k * k)
+                assert exact_cases.same(binomial_risk(m, alpha, k), want), (alpha, m, k)
+
+
+@pytest.mark.parametrize("fixture", exact_cases.TABLES)
+def test_indicators_equal_those_of_the_plain_expressions(fixture, request, monkeypatch):
+    """rss, ide and coin_equivalent on the plain q, ED and bracket give the same bits."""
+    table = request.getfixturevalue(fixture)
+    for moments in exact_cases.sources():
+        exp = risk_expansion(table, moments, with_error=False)
+        plain = _PlainExpansion(**vars(exp))
+        n_actual = 10 * exp.p + 200
+        for alpha in exact_cases.ALPHAS:
+            got = [_outcome(rss, exp, alpha), _outcome(ide, exp, alpha),
+                   _outcome(coin_equivalent, exp, alpha, n_actual)]
+            with monkeypatch.context() as patch:
+                patch.setattr(benchmarks, "binomial_bracket", _plain_bracket)
+                want = [_outcome(rss, plain, alpha), _outcome(ide, plain, alpha),
+                        _outcome(coin_equivalent, plain, alpha, n_actual)]
+            assert all(map(exact_cases.same, got, want)), (exp.p, alpha, got, want)

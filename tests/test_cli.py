@@ -610,6 +610,34 @@ def test_overflowing_data_end_in_a_numeric_error(tmp_path, capsys):
         assert error["error"].startswith(f"{path}: overflow encountered")
 
 
+NOT_FINITE = {"error": "a result is not finite (NaN or infinity); nothing was printed", "kind": "numeric"}
+HUGE_ALPHA = ("--alpha", "1e300")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("risk", "--n", "50"),
+        ("ide",),
+        ("rss",),
+        ("coin-equiv", "--n-actual", "200"),
+        ("series",),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("error", ["normal", "skew-normal:3"])
+def test_an_exact_overflow_is_reported_as_the_float_one_is(capsys, argv, error):
+    # alpha = 1e300 is exact: q(alpha) is a Fraction beyond a double on the normal table, and an
+    # infinity on the skew-normal one; both end in the same diagnostic
+    code, out, err = run_cli(capsys, *argv, "--error", error, "--xpreset", "normal", "--p", "3", *HUGE_ALPHA)
+    assert (code, out, json.loads(err)) == (3, "", NOT_FINITE)
+
+
+def test_a_table_with_an_exact_overflow_prints_nothing(capsys):
+    code, out, err = run_cli(capsys, "table", "--preset", "table1", *HUGE_ALPHA)
+    assert (code, out, json.loads(err)) == (3, "", NOT_FINITE)
+
+
 def test_a_non_finite_result_is_never_printed(tmp_path, capsys, monkeypatch):
     from mlerisk import cli
 

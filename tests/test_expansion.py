@@ -24,6 +24,7 @@ from mlerisk.expansion import (
     risk_expansion,
 )
 from mlerisk.moments import X_PRESET_NAMES, AggregatedMoments, HomogeneousMoments, to_aggregated, x_preset
+import exact_cases
 from combinator_oracle import ORACLE_CASES
 
 F = Fraction
@@ -398,6 +399,28 @@ def test_jsonable_roundtrip_fields(normal_table):
     assert payload["validity_n_min"] == exp.validity_n_min
 
 
+# --- rational paths against their plain expressions -------------------------------
+
+
+@pytest.mark.parametrize("fixture", exact_cases.TABLES)
+def test_q_ed_and_the_kernel_dot_equal_their_plain_expressions(fixture, request):
+    """Exact results are reduced once per result, so they must be the very
+    Fractions the plain expressions give; float inputs keep their bits."""
+    table = request.getfixturevalue(fixture)
+    for moments in exact_cases.sources():
+        exp = risk_expansion(table, moments, with_error=False)
+        agg = to_aggregated(moments)
+        basis = (1, agg.p, agg.p * agg.p, agg.M2a, agg.M2b, agg.M1)
+        for got, row in zip((exp.qa, exp.qb, exp.qc), _kernel(table)):
+            assert exact_cases.same(got, sum(k * b for k, b in zip(row, basis)))
+        assert table.exact == (type(exp.qa) is F)
+        for alpha in exact_cases.ALPHAS:
+            q = exp.qa * alpha * alpha + exp.qb * alpha + exp.qc
+            assert exact_cases.same(exp.q(alpha), q), alpha
+            for n in (exp.p + 3, 100, 12345):
+                assert exact_cases.same(exp.evaluate(alpha, n), exp.main / n + q / (n * n)), (alpha, n)
+
+
 # --- compiled kernel ------------------------------------------------------------
 
 
@@ -423,11 +446,6 @@ def _first_valid_n(p, main, q_ref):
     while not (main * n + q_ref > 0 and main * n * (n + 1) + q_ref * (2 * n + 1) > 0):
         n += 1
     return n
-
-
-@pytest.fixture(scope="module")
-def t21_5_table():
-    return build_eta_table(student_t_error(F(21, 5)))
 
 
 @pytest.mark.parametrize("fixture", ["normal_table", "t3_table", "t21_5_table"])
