@@ -36,6 +36,20 @@ __all__ = [
     "coin_equivalent",
 ]
 
+_NOT_FINITE = "a result is not finite (NaN or infinity); nothing was printed"
+
+
+def _finite(x) -> float:
+    """float(x); an ArithmeticError with the one not-finite message when that is
+    NaN or an infinity, or when x is an exact number beyond the range of a double."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ArithmeticError(_NOT_FINITE)
+    return f
+
 
 def binomial_bracket(alpha):
     """(coef_M, coef_1) with bracket = coef_M * M + coef_1, M = 1/m + 1/(1-m)."""
@@ -90,9 +104,10 @@ def ide(expansion: RiskExpansion, alpha) -> IdeResult:
     p2 = expansion.p + 2
     rhs = 24 * q / (p2 * p2)
     cM, c1 = binomial_bracket(alpha)
-    if float(abs(cM)) < 1e-14:
+    if abs(_finite(cM)) < 1e-14:
         return IdeResult(m=None, roots=None, M=None)
     M = (rhs - c1) / cM
+    _finite(M)
     if not M >= 4:
         return IdeResult(m=None, roots=None, M=M)
     half_span = math.sqrt(0.25 - 1.0 / float(M))
@@ -107,9 +122,12 @@ def solve_rss_at_k(expansion: RiskExpansion, alpha, k: int) -> float | None:
     on the decreasing branch of the truncated expansion (the smaller root is
     a truncation artifact).
     """
-    c = float(binomial_risk(0.5, alpha, k))
+    try:
+        c = _finite(binomial_risk(0.5, alpha, k))
+    except OverflowError:  # an exact bracket beyond a double, times the float M = 4
+        raise ArithmeticError(_NOT_FINITE) from None
     main = float(expansion.main)
-    q = float(expansion.q(alpha))
+    q = _finite(expansion.q(alpha))
     disc = main * main + 4.0 * c * q
     if disc < 0:
         return None
@@ -161,12 +179,11 @@ def coin_equivalent(expansion: RiskExpansion, alpha, n_actual: int) -> int:
     """Fair-coin sample size with the same risk as the model at n_actual."""
     if n_actual < expansion.p + 3:
         raise ValueError("n_actual must be at least p + 3")
-    v = float(expansion.evaluate(alpha, n_actual))
+    v = _finite(expansion.evaluate(alpha, n_actual))
     cM, c1 = binomial_bracket(alpha)
-    qb = (float(cM) * 4.0 + float(c1)) / 24.0  # M = 4 at m = 1/2
+    qb = (_finite(cM) * 4.0 + _finite(c1)) / 24.0  # M = 4 at m = 1/2
     # v = 1/(2n) + qb/n^2  ->  v n^2 - n/2 - qb = 0
     disc = 0.25 + 4.0 * v * qb
     if disc < 0 or v <= 0:
         raise ArithmeticError("coin-toss equivalence equation has no positive solution")
-    n = (0.5 + math.sqrt(disc)) / (2.0 * v)
-    return _round_half_away(n)
+    return _round_half_away(_finite((0.5 + math.sqrt(disc)) / (2.0 * v)))

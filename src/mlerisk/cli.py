@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 
 from ._quadrature import QuadratureError
-from .benchmarks import coin_equivalent, ide, rss
+from .benchmarks import _NOT_FINITE, _finite, coin_equivalent, ide, rss
 from .data_moments import LoadOptions, load_csv, sample_aggregates, standardize
 from .error_models import error_model_from_spec
 from .eta import EtaTableError, build_eta_table
@@ -166,9 +166,6 @@ def _expansion_from_args(args):
     }
     payload["source"] = source_info
     return exp, payload
-
-
-_NOT_FINITE = "a result is not finite (NaN or infinity); nothing was printed"
 
 
 def _emit(args, payload) -> None:
@@ -380,7 +377,7 @@ def _cmd_series(args):
     for k in range(args.k_min, args.k_max + 1):
         n = (exp.p + 2) * k
         rows.append(
-            (k, float(exp.evaluate(args.alpha, n)), float(binomial_risk(0.5, args.alpha, k)))
+            (k, _finite(exp.evaluate(args.alpha, n)), _finite(binomial_risk(0.5, args.alpha, k)))
         )
     if args.format == "csv":
         sys.stdout.write("k,ed_regression,ed_binomial\n")

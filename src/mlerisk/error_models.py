@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
 
 from ._quadrature import integrate_real_line
 from .expr import parse_density_file
@@ -80,7 +79,9 @@ def _mills_ratio_inverse(u):
     exp(-u^2/2) gives phi/Phi = sqrt(2/pi) / erfcx(-u/sqrt(2)), which is
     accurate for all u (erfcx is the scaled complementary error function).
     """
-    return math.sqrt(2.0 / math.pi) / _sp.erfcx(-u / math.sqrt(2.0))
+    from scipy.special import erfcx  # imported on first use, like skew_normal_error's
+
+    return math.sqrt(2.0 / math.pi) / erfcx(-u / math.sqrt(2.0))
 
 
 def normal_error() -> ErrorModel:
@@ -119,6 +120,8 @@ def student_t_error(nu) -> ErrorModel:
 
 def skew_normal_error(b: float) -> ErrorModel:
     """Skew-normal with shape b: f(y) = 2 phi(y) Phi(b y)."""
+    from scipy.special import log_ndtr, ndtr  # on first use: scipy.special is most of a CLI start
+
     b = float(b)
     if not math.isfinite(b):
         raise ValueError(f"skew-normal shape b must be finite, got {b}")
@@ -133,9 +136,9 @@ def skew_normal_error(b: float) -> ErrorModel:
 
     return ErrorModel(
         kind=ModelKind.SKEW_NORMAL,
-        pdf=lambda y: 2.0 * np.exp(-0.5 * y * y) / _SQRT_2PI * _sp.ndtr(b * y),
+        pdf=lambda y: 2.0 * np.exp(-0.5 * y * y) / _SQRT_2PI * ndtr(b * y),
         log_pdf=lambda y: (
-            math.log(2.0) - 0.5 * y * y - math.log(_SQRT_2PI) + _sp.log_ndtr(b * y)
+            math.log(2.0) - 0.5 * y * y - math.log(_SQRT_2PI) + log_ndtr(b * y)
         ),
         log_deriv1=lambda y: -y + b * _mills_ratio_inverse(b * y),
         log_deriv2=d2,

@@ -15,6 +15,13 @@ stage.  The first expansion of a table runs the chain once over symbolic
 moments and keeps the kernel K it yields; every expansion is then
 (qa, qb, qc) = K . (1, p, p^2, M2a, M2b, M1).
 
+On exact inputs :func:`l_terms` runs on integers: the eta entries it reads
+become numerators over their common denominator D, and the metric (w, G)
+numerators over its own, E.  Each l1x sum has degree 2 in the metric and 1
+in the eta patterns, each l2x sum degrees 3 and 2, so the unchanged
+contraction code yields L D E^2 and L D^2 E^3, each divided once.  A float
+table's kernel takes this pass at the exact binary values of its entries.
+
 The eta patterns (expectations of products of score derivatives) follow from
 two differentiation rules and agree with the published program listing case
 by case; its one extra term, eta[0,0,1,0] in the (SSB) triple, vanishes by
@@ -130,10 +137,11 @@ def _terms(groups: tuple) -> tuple:
     return const, tuple((c, idx) for idx, c in sorted(prod.items()) if c)
 
 
-def _evaluate(table: EtaTable, terms: tuple):
+def _evaluate(table: EtaTable, terms: tuple, scale=1):
+    """The pattern ``terms`` on the table's entries, its constant times ``scale``."""
     const, lin = terms
     entries = table.entries
-    total = const
+    total = const * scale
     for c, idx in lin:
         v = entries[idx].value
         # unit coefficients skip the product, the costly step for Fractions
@@ -146,12 +154,14 @@ def _singles(n: int, ns: int) -> tuple:
 
 
 # The five families l_terms reads, (ab)c, abc, (ab)(cd), (ab)cd and abcd,
-# keyed by the sigma counts of their groups.
+# keyed by the sigma counts of their groups; _READ holds the entries they read.
 _PAIR_SINGLE = {(a, s): _terms(((2, a), (1, s))) for a in range(3) for s in range(2)}
 _TRIPLE = {n: _terms(_singles(3, n)) for n in range(4)}
 _PAIR_PAIR = {(a, b): _terms(((2, a), (2, b))) for a in range(3) for b in range(3)}
 _PAIR_TWO = {(a, b): _terms(((2, a), *_singles(2, b))) for a in range(3) for b in range(3)}
 _FOUR = {n: _terms(_singles(4, n)) for n in range(5)}
+_FAMILIES = (_PAIR_SINGLE, _TRIPLE, _PAIR_PAIR, _PAIR_TWO, _FOUR)
+_READ = sorted({idx for family in _FAMILIES for _, lin in family.values() for _, idx in lin})
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +199,23 @@ def l_terms(table: EtaTable, moments) -> LTerms:
     M2a, M2b, M1 = agg.M2a, agg.M2b, agg.M1
     if isinstance(w, float):  # each product below would round a moment to float anyway; do it once
         M2a, M2b, M1 = float(M2a), float(M2b), float(M1)
+    D = 1
+    exact = table.exact and all(isinstance(m, (int, Fraction, _Affine)) for m in (M2a, M2b, M1))
+    if exact:  # ints, Fractions or the kernel's symbols: the integer pass of the module docstring
+        values = {idx: table.entries[idx].value for idx in _READ}
+        D = math.lcm(*(v.denominator for v in values.values()))
+        table = EtaTable(table.model_label, {
+            idx: EtaEntry(v.numerator * (D // v.denominator), 0, None) for idx, v in values.items()
+        }, exact=True)
+        E = math.lcm(w.denominator, *(g.denominator for g in G.values()))
+        w, G = w.numerator * (E // w.denominator), {k: g.numerator * (E // g.denominator) for k, g in G.items()}
     P = [(a, b, gab) for (a, b), gab in G.items()]  # (a, b, g^ab), special pair
     P2 = [(i, j, k, l, gij * gkl) for i, j, gij in P for k, l, gkl in P]
     T3 = [(a, b, c) for a in _S for b in _S for c in _S]
 
     # each pattern once, keyed by the sigma counts of its groups
     e3p, e3, e22, e211, e4 = (
-        {key: _evaluate(table, terms) for key, terms in family.items()}
-        for family in (_PAIR_SINGLE, _TRIPLE, _PAIR_PAIR, _PAIR_TWO, _FOUR)
+        {key: _evaluate(table, terms, D) for key, terms in family.items()} for family in _FAMILIES
     )
 
     pair1 = lambda a, b, c: e3p[a + b, c]  # L_(ab)c
@@ -235,7 +254,7 @@ def l_terms(table: EtaTable, moments) -> LTerms:
     pair_pair = lambda a, b, c, d: e22[a + b, c + d]  # L_(ab)(cd)
     four = lambda a, b, c, d: e4[a + b + c + d]  # L_abcd
 
-    return LTerms(
+    lt = LTerms(
         # the defining sum of l11 reads iljk, the same sum as ikjl
         l11=ikjl(e211[0, 0], pair_two),
         # The M1 head of l12 follows the published program listing, which
@@ -254,6 +273,10 @@ def l_terms(table: EtaTable, moments) -> LTerms:
         # the second factor of l26 is read in the defining sum's sul order
         l26=ijk_lsu(pair1, lambda l, s, u: pair1(s, u, l)),
     )
+    if exact:  # one division per sum
+        scales = (Fraction(1, D * E * E),) * 5 + (Fraction(1, D * D * E**3),) * 6
+        lt = LTerms(*(x * s for x, s in zip(vars(lt).values(), scales)))
+    return lt
 
 
 def _q(lt: LTerms, p) -> tuple:

@@ -25,7 +25,6 @@ import math
 import re
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = ["ExprSyntaxError", "compile_expression", "parse_density_file"]
 
@@ -37,13 +36,25 @@ class ExprSyntaxError(ValueError):
         self.column = column
 
 
+def _scipy_special(name: str):
+    """scipy.special's ``name``, imported on the first call: scipy.special is
+    most of a CLI start, and only densities that call erf or Phi need it."""
+
+    def call(x):
+        from scipy import special
+
+        return getattr(special, name)(x)
+
+    return call
+
+
 _FUNCTIONS = {
     "exp": np.exp,
     "log": np.log,
     "sqrt": np.sqrt,
-    "erf": _sp.erf,
+    "erf": _scipy_special("erf"),
     "phi": lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / math.sqrt(2 * math.pi),
-    "Phi": _sp.ndtr,
+    "Phi": _scipy_special("ndtr"),
 }
 
 # The only names a compiled expression can see: no builtins at all.

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -262,3 +263,37 @@ def test_indicators_equal_those_of_the_plain_expressions(fixture, request, monke
                 want = [_outcome(rss, plain, alpha), _outcome(ide, plain, alpha),
                         _outcome(coin_equivalent, plain, alpha, n_actual)]
             assert all(map(exact_cases.same, got, want)), (exp.p, alpha, got, want)
+
+
+# --- one error for a result that is not finite --------------------------------------
+
+NOT_FINITE_ALPHAS = (F(10**300), F(-10**300), 1e300, -1e300, math.inf, -math.inf, math.nan)
+NOT_FINITE_IDS = ["exact 1e300", "exact -1e300", "1e300", "-1e300", "inf", "-inf", "nan"]
+
+
+def _raises_not_finite(call, *args):
+    with pytest.raises(ArithmeticError) as info:
+        call(*args)
+    return (info.type, str(info.value)) == (ArithmeticError, benchmarks._NOT_FINITE)
+
+
+@pytest.mark.parametrize("alpha", NOT_FINITE_ALPHAS, ids=NOT_FINITE_IDS)
+@pytest.mark.parametrize("fixture", ["normal_table", "sn3_table"])
+def test_a_result_that_is_not_finite_raises_the_one_error(fixture, alpha, request):
+    """An exact alpha beyond a double, a float one whose q overflows, an infinity
+    and NaN all end in the same ArithmeticError; ide returns no NaN M."""
+    exp = risk_expansion(request.getfixturevalue(fixture), x_preset("t", 10))
+    assert _raises_not_finite(rss, exp, alpha)
+    assert _raises_not_finite(ide, exp, alpha)
+    assert _raises_not_finite(coin_equivalent, exp, alpha, 200)
+    assert _raises_not_finite(solve_rss_at_k, exp, alpha, 10)
+
+
+def test_a_bracket_beyond_a_double_raises_the_one_error_where_q_is_finite(t3_table):
+    # qa = 13/64 < 3/4, the bracket's alpha^2 coefficient: q(alpha) is still a double
+    exp = risk_expansion(t3_table, AggregatedMoments(p=0, M2a=0, M2b=0, M1=0))
+    alpha = F(2 * 10**154)
+    assert math.isfinite(float(exp.q(alpha)))
+    assert _raises_not_finite(rss, exp, alpha)
+    assert _raises_not_finite(ide, exp, alpha)
+    assert _raises_not_finite(coin_equivalent, exp, alpha, 200)

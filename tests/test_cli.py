@@ -638,6 +638,14 @@ def test_a_table_with_an_exact_overflow_prints_nothing(capsys):
     assert (code, out, json.loads(err)) == (3, "", NOT_FINITE)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_series_row_that_is_not_finite_is_never_printed(capsys, fmt):
+    # at alpha = 6e153 ED is an infinity on the float skew-normal table, the binomial column finite
+    code, out, err = run_cli(capsys, "series", "--error", "skew-normal:3", "--xpreset", "normal", "--p", "3",
+                             "--alpha", "6e153", "--format", fmt)
+    assert (code, out, json.loads(err)) == (3, "", NOT_FINITE)
+
+
 def test_a_non_finite_result_is_never_printed(tmp_path, capsys, monkeypatch):
     from mlerisk import cli
 

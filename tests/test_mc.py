@@ -242,6 +242,11 @@ def test_import_does_not_load_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    # the CLI loads scipy.special only when a skew-normal or custom density needs it
+    code = "import mlerisk.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_neg_entropy_cache_releases_dropped_models():
