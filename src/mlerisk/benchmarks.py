@@ -63,16 +63,35 @@ def binomial_bracket(alpha):
 
 
 def binomial_risk(m, alpha, n: int):
-    """Truncated ED(alpha, n) for the binomial model B(n, m)."""
+    """Truncated ED(alpha, n) for the binomial model B(n, m); ArithmeticError
+    with the one not-finite message when it is not a finite double."""
     if not 0 < m < 1:
         raise ValueError("m must lie strictly between 0 and 1")
     if n < 1:
         raise ValueError("n must be a positive integer")
     M = 1 / (m * (1 - m))
     cM, c1 = binomial_bracket(alpha)
+    if isinstance(M, float) or isinstance(cM, float):  # each operand rounds once, as Fraction's float fallback does
+        M, cM, c1 = _finite(M), _finite(cM), _finite(c1)
     q = (cM * M + c1) / 24
     half = Fraction(1, 2) if isinstance(q, Fraction) else 0.5
-    return half / n + q / (n * n)
+    ed = half / n + q / (n * n)
+    _finite(ed)
+    return ed
+
+
+def _fair_coin_q(alpha) -> float:
+    """The n^-2 coefficient of ED_B(alpha, n) at m = 1/2 (M = 4), as binomial_risk rounds it."""
+    cM, c1 = binomial_bracket(alpha)
+    return (_finite(cM) * 4.0 + _finite(c1)) / 24.0
+
+
+def _larger_root(a: float, b: float, c: float) -> float | None:
+    """The larger root x of a x^2 = b x + c (a > 0), or None when it is not real."""
+    disc = b * b + 4.0 * a * c
+    if disc < 0:
+        return None
+    return (b + math.sqrt(disc)) / (2.0 * a)
 
 
 @dataclass(frozen=True)
@@ -122,16 +141,7 @@ def solve_rss_at_k(expansion: RiskExpansion, alpha, k: int) -> float | None:
     on the decreasing branch of the truncated expansion (the smaller root is
     a truncation artifact).
     """
-    try:
-        c = _finite(binomial_risk(0.5, alpha, k))
-    except OverflowError:  # an exact bracket beyond a double, times the float M = 4
-        raise ArithmeticError(_NOT_FINITE) from None
-    main = float(expansion.main)
-    q = _finite(expansion.q(alpha))
-    disc = main * main + 4.0 * c * q
-    if disc < 0:
-        return None
-    return (main + math.sqrt(disc)) / (2.0 * c)
+    return _larger_root(binomial_risk(0.5, alpha, k), float(expansion.main), _finite(expansion.q(alpha)))
 
 
 def _round_half_away(x: float) -> int:
@@ -164,12 +174,11 @@ def rss(
         raise ValueError(f"k_step must be a positive integer, got {k_step}")
     if k_max < k_start:
         raise ValueError(f"k_max ({k_max}) must be at least k_start ({k_start})")
-    k = k_start
-    while k <= k_max:
-        n = solve_rss_at_k(expansion, alpha, k)
+    coin_q, main, q = _fair_coin_q(alpha), float(expansion.main), _finite(expansion.q(alpha))
+    for k in range(k_start, k_max + 1, k_step):
+        n = _larger_root(_finite(0.5 / k + coin_q / (k * k)), main, q)  # solve_rss_at_k at this k
         if n is not None and n >= expansion.validity_n_min:
             return RssResult(n=_round_half_away(n), benchmark_k=k, n_unrounded=n)
-        k += k_step
     raise ArithmeticError(
         f"required-sample-size equation has no admissible solution at any k <= {k_max}"
     )
@@ -180,10 +189,8 @@ def coin_equivalent(expansion: RiskExpansion, alpha, n_actual: int) -> int:
     if n_actual < expansion.p + 3:
         raise ValueError("n_actual must be at least p + 3")
     v = _finite(expansion.evaluate(alpha, n_actual))
-    cM, c1 = binomial_bracket(alpha)
-    qb = (_finite(cM) * 4.0 + _finite(c1)) / 24.0  # M = 4 at m = 1/2
-    # v = 1/(2n) + qb/n^2  ->  v n^2 - n/2 - qb = 0
-    disc = 0.25 + 4.0 * v * qb
-    if disc < 0 or v <= 0:
+    qb = _fair_coin_q(alpha)
+    n = _larger_root(v, 0.5, qb) if v > 0 else None  # v = 1/(2n) + qb/n^2
+    if n is None:
         raise ArithmeticError("coin-toss equivalence equation has no positive solution")
-    return _round_half_away(_finite((0.5 + math.sqrt(disc)) / (2.0 * v)))
+    return _round_half_away(_finite(n))

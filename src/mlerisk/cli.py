@@ -377,7 +377,7 @@ def _cmd_series(args):
     for k in range(args.k_min, args.k_max + 1):
         n = (exp.p + 2) * k
         rows.append(
-            (k, _finite(exp.evaluate(args.alpha, n)), _finite(binomial_risk(0.5, args.alpha, k)))
+            (k, _finite(exp.evaluate(args.alpha, n)), binomial_risk(0.5, args.alpha, k))
         )
     if args.format == "csv":
         sys.stdout.write("k,ed_regression,ed_binomial\n")

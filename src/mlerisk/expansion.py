@@ -468,12 +468,12 @@ def _kernel(table: EtaTable) -> tuple:
 
     One l_terms pass over symbolic aggregates, stored in the table's instance
     dict, so it lives as long as the table (treated as immutable).  A float
-    table is compiled at the exact binary values of its entries and each
+    table is compiled at the exact binary values of the _READ entries and each
     coefficient rounded once, so K adds no rounding of its own.
     """
     if "_kernel" not in table.__dict__:
         exact = table if table.exact else EtaTable(table.model_label, {
-            i: EtaEntry(Fraction(e.value), e.abs_error_bound, e.method) for i, e in table.entries.items()
+            i: EtaEntry(Fraction(table.value(*i)), 0, None) for i in _READ
         }, exact=True)
         q = _q(l_terms(exact, _BASIS), _BASIS.p)
         cast = Fraction if table.exact else lambda n, d: n / d

@@ -171,6 +171,46 @@ def test_rss_rejects_a_reversed_k_range(normal_table):
     assert rss(exp, F(-1), k_max=10).benchmark_k == 10  # a one-point range is allowed
 
 
+def _first_admissible_root(exp, alpha, k_start, k_step, k_max=1000):
+    """rss spelled out: the first k on its grid where solve_rss_at_k's root is admissible."""
+    for k in range(k_start, k_max + 1, k_step):
+        n = solve_rss_at_k(exp, alpha, k)
+        if n is not None and n >= exp.validity_n_min:
+            return k, n
+    raise ArithmeticError(
+        f"required-sample-size equation has no admissible solution at any k <= {k_max}"
+    )
+
+
+@pytest.mark.parametrize("fixture", exact_cases.TABLES)
+def test_rss_returns_the_first_admissible_root_of_solve_rss_at_k(fixture, request):
+    table = request.getfixturevalue(fixture)
+    for moments in exact_cases.sources():
+        exp = risk_expansion(table, moments, with_error=False)
+        for alpha in exact_cases.ALPHAS:
+            for k_start, k_step in ((10, 10), (1, 1), (7, 3)):
+                def via_rss():
+                    result = rss(exp, alpha, k_start, k_step)
+                    return result.benchmark_k, result.n_unrounded
+
+                got = _outcome(via_rss)
+                want = _outcome(_first_admissible_root, exp, alpha, k_start, k_step)
+                assert exact_cases.same(got, want), (exp.p, alpha, k_start, k_step, got, want)
+
+
+def test_rss_forms_the_bracket_once_however_far_k_escalates(normal_table, monkeypatch):
+    exp = risk_expansion(normal_table, x_preset("t", 10))
+    calls = []
+
+    def counted(alpha):
+        calls.append(alpha)
+        return binomial_bracket(alpha)
+
+    monkeypatch.setattr(benchmarks, "binomial_bracket", counted)
+    assert rss(exp, F(-1), k_start=5, k_step=5).benchmark_k >= 5 + 5 * 5  # five escalations or more
+    assert len(calls) == 1
+
+
 # --- coin-toss equivalence ---------------------------------------------------
 
 
@@ -287,6 +327,7 @@ def test_a_result_that_is_not_finite_raises_the_one_error(fixture, alpha, reques
     assert _raises_not_finite(ide, exp, alpha)
     assert _raises_not_finite(coin_equivalent, exp, alpha, 200)
     assert _raises_not_finite(solve_rss_at_k, exp, alpha, 10)
+    assert _raises_not_finite(binomial_risk, 0.5, alpha, 10)
 
 
 def test_a_bracket_beyond_a_double_raises_the_one_error_where_q_is_finite(t3_table):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import sys
@@ -59,3 +60,19 @@ def test_perfbench_tracer_targets_resolve(monkeypatch):
     ]
     assert tracing.TARGETS
     assert missing == []
+
+
+def test_the_readme_library_example_gives_its_commented_results():
+    """The first python block of the README runs and gives the results its comments show."""
+    block = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("```python\n")[1]
+    block = block.split("```")[0]
+    lines, namespace, shown = block.splitlines(), {}, {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            shown[lines[node.lineno - 1].partition("#")[2].strip()] = repr(value)
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert shown["Fraction(-217, 12)"] == "Fraction(-217, 12)"
+    assert shown["RssResult(n=111, benchmark_k=10, ...)"].startswith("RssResult(n=111, benchmark_k=10, ")
+    assert shown["True"] == "True"
