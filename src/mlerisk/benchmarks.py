@@ -119,12 +119,13 @@ def ide(expansion: RiskExpansion, alpha) -> IdeResult:
     and k entirely, leaving a linear equation for M and then the quadratic
     m(1-m) = 1/M.  M < 4 means the binomial side is harder for every m.
     """
-    q = expansion.q(alpha)
-    p2 = expansion.p + 2
-    rhs = 24 * q / (p2 * p2)
+    # the bracket first: at an exact alpha beyond a double, a float table's q raises OverflowError
     cM, c1 = binomial_bracket(alpha)
     if abs(_finite(cM)) < 1e-14:
         return IdeResult(m=None, roots=None, M=None)
+    q = expansion.q(alpha)
+    p2 = expansion.p + 2
+    rhs = 24 * q / (p2 * p2)
     M = (rhs - c1) / cM
     _finite(M)
     if not M >= 4:
@@ -188,8 +189,8 @@ def coin_equivalent(expansion: RiskExpansion, alpha, n_actual: int) -> int:
     """Fair-coin sample size with the same risk as the model at n_actual."""
     if n_actual < expansion.p + 3:
         raise ValueError("n_actual must be at least p + 3")
+    qb = _fair_coin_q(alpha)  # first, as in ide: evaluate can raise OverflowError
     v = _finite(expansion.evaluate(alpha, n_actual))
-    qb = _fair_coin_q(alpha)
     n = _larger_root(v, 0.5, qb) if v > 0 else None  # v = 1/(2n) + qb/n^2
     if n is None:
         raise ArithmeticError("coin-toss equivalence equation has no positive solution")

@@ -25,7 +25,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from ._quadrature import QuadratureError
 from .benchmarks import _NOT_FINITE, _finite, coin_equivalent, ide, rss
@@ -181,7 +181,9 @@ def _emit_indicator(args, payload, fields) -> None:
     _emit(args, {**fields, "alpha": float(args.alpha), "expansion": payload})
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; callers must not mutate it."""
     parser = _Parser(
         prog="mlerisk",
         description="Second-order estimation-risk expansions and sample-size indicators "

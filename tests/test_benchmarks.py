@@ -307,8 +307,12 @@ def test_indicators_equal_those_of_the_plain_expressions(fixture, request, monke
 
 # --- one error for a result that is not finite --------------------------------------
 
-NOT_FINITE_ALPHAS = (F(10**300), F(-10**300), 1e300, -1e300, math.inf, -math.inf, math.nan)
-NOT_FINITE_IDS = ["exact 1e300", "exact -1e300", "1e300", "-1e300", "inf", "-inf", "nan"]
+NOT_FINITE_ALPHAS = (
+    F(10**300), F(-10**300), F(10**400), F(-10**400), 1e300, -1e300, math.inf, -math.inf, math.nan,
+)
+NOT_FINITE_IDS = [
+    "exact 1e300", "exact -1e300", "exact 1e400", "exact -1e400", "1e300", "-1e300", "inf", "-inf", "nan",
+]
 
 
 def _raises_not_finite(call, *args):

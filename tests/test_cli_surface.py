@@ -39,6 +39,41 @@ def test_output_is_byte_identical_to_the_pinned_golden(capsys, command):
     assert run_cli(capsys, *command.split()) == (0, GOLDEN[command], "")
 
 
+USAGE_ERROR = (2, "", json.dumps({"error": "argument --p: invalid int value: 'abc'", "kind": "config"}) + "\n")
+
+
+def test_one_process_replays_every_golden_around_usage_errors_and_help(capsys):
+    """The parser is shared by every call: a failed parse or a --help between
+    commands leaves nothing behind, in either order of the goldens."""
+    helps = {}
+    for command in [*GOLDEN, *reversed(GOLDEN)]:
+        name = command.split()[0]
+        assert run_cli(capsys, "risk", "--p", "abc") == USAGE_ERROR
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: mlerisk " + name)
+        assert helps.setdefault(name, out) == out
+        assert run_cli(capsys, *command.split()) == (0, GOLDEN[command], ""), command
+
+
+def test_a_warm_process_builds_no_parser(capsys, monkeypatch):
+    built = Counter()
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    command = next(iter(GOLDEN)).split()
+    assert run_cli(capsys, *command)[0] == 0
+    built.clear()
+    assert run_cli(capsys, *command)[0] == 0
+    assert built["parsers"] == 0
+
+
 def test_every_tracer_target_resolves(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
