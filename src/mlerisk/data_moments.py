@@ -108,15 +108,21 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
     ``options.missing_tokens``; every other kept token becomes ``float`` of
     its stripped text, and one that reads as no finite number is refused.
     numpy's C reader converts a plain body, ``csv.reader`` any other; the
-    dataset is bit-identical either way.
+    dataset is bit-identical either way.  Both, and every error's line number,
+    use the one text read from ``path``, so a pipe or FIFO works as a file does.
     """
-    kept_names, data, dropped, bad_rows = _load_plain(path, options) or _load_records(path, options)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+    kept_names, data, dropped, bad_rows = _load_plain(path, text, options) or _load_records(path, text, options)
     finite = np.isfinite(data)
     if not finite.all():  # inf, -Infinity, 1e500, NaN, -nan: float() reads them, no moment takes them
         r, c = np.argwhere(~finite)[0]
         body_row = [i for i in range(data.shape[0] + len(bad_rows)) if i not in bad_rows][r]
         raise DataError(
-            f"{path}: line {_record_line(path, options, options.header + body_row)}: "
+            f"{path}: line {_record_line(text, options, options.header + body_row)}: "
             f"non-finite value {data[r, c]} in column {kept_names[c]!r}"
         )
     if data.shape[0] <= data.shape[1]:
@@ -132,7 +138,7 @@ def load_csv(path, options: LoadOptions = LoadOptions()) -> Dataset:
     )
 
 
-def _load_plain(path, options):
+def _load_plain(path, text, options):
     """``_load_records``'s result by ``np.loadtxt``, or None to fall back to it.
 
     A body with no quote, NUL, bare CR or line over csv's field limit splits at
@@ -141,12 +147,10 @@ def _load_plain(path, options):
     digit); any doubt, a NaN included, falls back.
     """
     d = options.delimiter
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=d)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-        reader = csv.reader(io.StringIO(text, newline=""), delimiter=d)
         first = next(filter(None, reader), ())
-    except (OSError, UnicodeDecodeError, csv.Error):
+    except csv.Error:
         return None
     if "\r" in text:  # a CR left after this is bare: csv.reader would end a line there
         text = text.replace("\r\n", "\n")
@@ -175,14 +179,12 @@ def _load_plain(path, options):
     return tuple(names[i] for i in keep), data, dropped, bad_rows
 
 
-def _load_records(path, options):
+def _load_records(path, text, options):
     """(kept names, rows, dropped names, rows dropped) by ``csv.reader``; raises on bad input."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            raw = [row for row in csv.reader(fh, delimiter=options.delimiter) if row]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise DataError(f"{path}: cannot read: {reason}") from None
+        raw = [row for row in csv.reader(io.StringIO(text, newline=""), delimiter=options.delimiter) if row]
+    except csv.Error as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from None
     if not raw:
         raise DataError(f"{path}: empty file")
     body = raw[1:] if options.header else raw
@@ -191,7 +193,7 @@ def _load_records(path, options):
     for r, row in enumerate(body):
         if len(row) != width:
             raise DataError(
-                f"{path}: line {_record_line(path, options, skip + r)}: "
+                f"{path}: line {_record_line(text, options, skip + r)}: "
                 f"expected {width} fields, found {len(row)}"
             )
 
@@ -212,7 +214,7 @@ def _load_records(path, options):
         except ValueError:
             r, i, tok = _first_bad_cell(cells, width, rows, keep)
             raise DataError(
-                f"{path}: line {_record_line(path, options, skip + r)}: "
+                f"{path}: line {_record_line(text, options, skip + r)}: "
                 f"non-numeric value {tok!r} in column {names[i]!r}"
             ) from None
     return tuple(names[i] for i in keep), data, dropped, bad_rows
@@ -242,21 +244,18 @@ def _clean(path, first, n_rows, bad_cells, options):
     return names, keep, dropped, bad_rows
 
 
-def _record_line(path, options, index):
-    """File line on which the ``index``-th non-blank record starts.
+def _record_line(text, options, index):
+    """Line of ``text`` on which its ``index``-th non-blank record starts.
 
     Blank lines are skipped and a quoted field may span lines, so this
-    re-reads the file up to that record; only error messages call it.
+    re-parses the text up to that record; only error messages call it.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=options.delimiter)
-        start = 1
-        for row in reader:
-            if row:
-                if index == 0:
-                    return start
-                index -= 1
-            start = reader.line_num + 1
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=options.delimiter)
+    start = 1
+    for row in reader:
+        if row and (index := index - 1) < 0:
+            return start
+        start = reader.line_num + 1
 
 
 def _first_bad_cell(cells, width, rows, keep):

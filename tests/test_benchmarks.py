@@ -1,7 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
 import exact_cases
 from mlerisk import benchmarks
@@ -48,6 +50,33 @@ def test_binomial_risk_validates_inputs():
         binomial_risk(0.0, -1.0, 10)
     with pytest.raises(ValueError):
         binomial_risk(0.5, -1.0, 0)
+
+
+def _binomial_ed(m, alpha, n):
+    """The exact risk of B(n, m): the finite sum over k of Binom(n, m)(k) times
+    D_alpha(Bern(k/n) || Bern(m)), the fitted probability first with exponent
+    (1 - alpha)/2, as ``mc.divergence`` orders its arguments; KL at alpha = -1."""
+    k = np.arange(n + 1)
+    weights = np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) + k * np.log(m) + (n - k) * np.log1p(-m))
+    fit = k / n
+    if alpha == -1:
+        d = xlogy(fit, fit / m) + xlogy(1 - fit, (1 - fit) / (1 - m))
+    else:
+        a, b = (1 - alpha) / 2, (1 + alpha) / 2
+        d = 4 / (1 - alpha * alpha) * (1 - fit ** a * m ** b - (1 - fit) ** a * (1 - m) ** b)
+    return float(weights @ d)
+
+
+@pytest.mark.parametrize("alpha", [-3, -2, -1, -0.5, 0, 0.5, 0.9])
+@pytest.mark.parametrize("m", [0.3, 0.5])
+def test_the_binomial_n2_coefficient_is_the_limit_of_the_exact_risk(m, alpha):
+    """n^2 (ED_B - 1/(2n)) = q + c/n + d/n^2 + ...; two Richardson steps over
+    n = 400 ... 3200 leave q to O(n^-3).  alpha >= 1 is left out: there
+    D(Bern(0) || Bern(m)) is infinite, and so is the exact risk."""
+    f = [n * n * (_binomial_ed(m, alpha, n) - 0.5 / n) for n in (400, 800, 1600, 3200)]
+    once = [2 * b - a for a, b in zip(f, f[1:])]
+    twice = [(4 * b - a) / 3 for a, b in zip(once, once[1:])]
+    assert twice[-1] == pytest.approx(binomial_risk(m, alpha, 1) - 0.5, abs=1e-6)
 
 
 # --- I.D.E. ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -587,6 +588,22 @@ def test_validate_refuses_an_x_parameter_at_every_p(capsys, monkeypatch, p, xdis
     )
     assert (code, out) == (2, "")
     assert json.loads(err)["error"].startswith(message)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_moments_reads_standard_input_as_it_reads_a_file(tmp_path):
+    """A quoted body takes the csv.reader fallback, which reads what the first read took."""
+    text = 'a,b\n"1",2\n3,4\n5,7\n6,1\n'
+    path = tmp_path / "quoted.csv"
+    path.write_text(text)
+    runs = [
+        subprocess.run([sys.executable, "-m", "mlerisk.cli", "moments", name, "--compact"],
+                       input=text, capture_output=True, text=True, timeout=60)
+        for name in (str(path), "/dev/stdin")
+    ]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, "")] * 2
+    assert runs[1].stdout == runs[0].stdout
+    assert json.loads(runs[0].stdout)["n"] == 4
 
 
 def test_non_finite_cell_is_a_config_error(tmp_path, capsys):

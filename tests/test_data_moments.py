@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -427,7 +429,7 @@ def test_load_csv_c_reader_matches_csv_reader(tmp_path, monkeypatch, text, field
     path.write_bytes(text.encode("utf-8"))
     options = LoadOptions(**fields)
     try:
-        taken = dm._load_plain(path, options) is not None
+        taken = dm._load_plain(path, path.read_bytes().decode("utf-8"), options) is not None
     except DataError:  # raised by the cleaning both paths share
         taken = True
     assert taken == plain
@@ -468,7 +470,8 @@ def test_load_csv_refuses_a_non_finite_cell_by_line_and_column(tmp_path, monkeyp
     cell = f'"{token}"' if body == "quoted" else token
     path = _write(tmp_path, f"a,b,c\n1,?,2\n\n3,4,5\n6,{cell},7\n8,1,9\n2,2,2\n4,6,3\n")
     # numpy's C reader takes a plain body unless it holds a NaN
-    assert (dm._load_plain(path, LoadOptions()) is not None) == (body != "quoted" and "nan" not in token.lower())
+    text = path.read_bytes().decode("utf-8")
+    assert (dm._load_plain(path, text, LoadOptions()) is not None) == (body != "quoted" and "nan" not in token.lower())
     if body == "plain-csv-reader":
         monkeypatch.setattr(dm, "_load_plain", lambda *_: None)
     with pytest.raises(DataError) as exc:
@@ -477,6 +480,34 @@ def test_load_csv_refuses_a_non_finite_cell_by_line_and_column(tmp_path, monkeyp
     assert str(exc.value) == f"{path}: line 5: non-finite value {value} in column 'b'"
     # a non-finite cell in a dropped column is not read
     assert load_csv(path, LoadOptions(drop_columns=("b",))).p == 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('a,b\n"1",2\n3,4\n5,7\n6,1\n', None),
+        ("a,b\n1,2\n3,x\n5,7\n6,1\n", "line 3: non-numeric value 'x' in column 'b'"),
+        ("a,b\n1,2\n3,inf\n5,7\n6,1\n", "line 3: non-finite value inf in column 'b'"),
+    ],
+    ids=["quoted", "non-numeric", "plain-inf"],
+)
+def test_load_csv_reads_a_pipe_as_it_reads_a_file(tmp_path, text, error):
+    """A pipe can be read once: the csv.reader fallback and an error's line
+    number work on what the first read took."""
+    r, w = os.pipe()
+    # far below a pipe's buffer, so the write cannot block; closed, so the read cannot hang
+    with os.fdopen(w, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    path = f"/dev/fd/{r}"
+    try:
+        piped = _outcome(path, LoadOptions())
+    finally:
+        os.close(r)
+    if error is None:
+        assert piped == _outcome(_write(tmp_path, text), LoadOptions())
+    else:
+        assert piped == f"DataError: {path}: {error}"
 
 
 def test_library_data_path_refuses_overflow(tmp_path):

@@ -544,3 +544,57 @@ def test_validity_search_refuses_a_region_beyond_its_cap(normal_table):
 def test_non_finite_moments_are_refused_by_name(build, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         build()
+
+
+class _Recording(dict):
+    """A table's entries that note every key read by item access."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.read = set()
+
+    def __getitem__(self, idx):
+        self.read.add(idx)
+        return super().__getitem__(idx)
+
+
+_READ_SET_MODELS = {
+    "normal": normal_error(), "t(3)": student_t_error(3), "t(21/5)": student_t_error(F(21, 5)),
+    "sn(0.5)": skew_normal_error(0.5), "sn(3)": skew_normal_error(3.0),
+}
+
+
+def _bits(x):
+    return type(x), x.hex() if isinstance(x, float) else x
+
+
+def test_the_expansion_reads_one_set_of_32_entries_and_builds_from_them_alone():
+    """What building only the read set relies on: the invariants, the kernel and
+    q read the same 32 entries for every model, and a table holding only
+    those gives the same kernel bits, q and validity bound."""
+    read_sets = {}
+    for name, model in _READ_SET_MODELS.items():
+        table = build_eta_table(model)
+        recording = EtaTable(table.model_label, _Recording(table.entries), table.exact)
+        recording.check_invariants()
+        _kernel(recording)
+        for moments in (x_preset("pareto", 10), x_preset("normal", 3)):
+            risk_expansion(recording, moments, with_error=False)
+        read = read_sets[name] = frozenset(recording.entries.read)
+
+        restricted = EtaTable(table.model_label, {idx: table.entries[idx] for idx in read}, table.exact)
+        restricted.check_invariants()
+        assert [list(map(_bits, row)) for row in _kernel(restricted)] == \
+            [list(map(_bits, row)) for row in _kernel(table)], name
+        for moments in (x_preset("pareto", 10), x_preset("t", 7),
+                        AggregatedMoments(p=40, M2a=F(5), M2b=F(9, 4), M1=F(1700))):
+            full, part = risk_expansion(table, moments), risk_expansion(restricted, moments)
+            for alpha in (-1, 0, F(1, 2), 3):
+                assert _bits(part.q(alpha)) == _bits(full.q(alpha)), name
+            assert part.validity_n_min == full.validity_n_min, name
+            # the restricted table bumps fewer entries, each adding its own rounding
+            assert part.coeff_error == pytest.approx(full.coeff_error, rel=1e-6), name
+    assert len(set(read_sets.values())) == 1
+    (read,) = set(read_sets.values())
+    assert len(read) == 32
+    assert all(idx[0] != 1 for idx in read)
